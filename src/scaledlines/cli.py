@@ -63,8 +63,7 @@ def _load_json(path: str):
 
 def _load_tree(path: str) -> tuple[ColoredTree, trees.ValidationReport]:
     t = ColoredTree.from_json_dict(_load_json(path))
-    report = trees.validate_tree(t)
-    return t, report
+    return t, t.validation
 
 
 def _load_reduced_tree(path: str) -> ColoredTree:

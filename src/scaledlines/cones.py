@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import intlinalg
-from .trees import ColoredTree, _require_valid_reduced, canonical_indices
-from .weights import WeightVector, label_weights, total_weight
+from .trees import ColoredTree
+from .weights import label_weights, total_weight
 
 #: Trees with more uncolored vertices than this are refused.
 MAX_UNCOLORED = 8
@@ -36,15 +36,13 @@ def _check_size(t: ColoredTree) -> None:
 
 def generators(t: ColoredTree) -> tuple[RayVector, ...]:
     """Minimal generators of the cone, in lexicographic coordinate order."""
-    _require_valid_reduced(t)
+    units = t.units
     _check_size(t)
-    idx = canonical_indices(t)
-    g = len(idx)
 
     def rec(v: int) -> list[RayVector]:
         if t.is_colored(v):
             return []
-        base = tuple(1 if k == idx[v] - 1 else 0 for k in range(g))
+        base = units[v]
         combos: list[RayVector] = [base]
         for c in t.children[v]:
             extended: list[RayVector] = []
@@ -59,7 +57,7 @@ def generators(t: ColoredTree) -> tuple[RayVector, ...]:
 
 def ray_count(t: ColoredTree) -> int:
     """Number of cone generators, computed by the branch product formula."""
-    _require_valid_reduced(t)
+    t.require_reduced()
 
     def rec(v: int) -> int:
         if t.is_colored(v):

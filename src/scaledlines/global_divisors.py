@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping, Optional
 
 from . import local_divisors
 from .intlinalg import HnfSolver, IntMatrix, kernel_basis, rank, row_lattice_hnf
-from .trees import (ColoredTree, Partition, Subset, enumerate_trees,
-                    partitions_of, proper_subsets)
+from .trees import Partition, Subset, enumerate_trees, partitions_of, proper_subsets
 
 
 class NotCartierError(ValueError):
@@ -116,16 +115,23 @@ class DivisorVector:
         if not isinstance(coeff, int) or isinstance(coeff, bool):
             raise ValueError("divisor coefficients must be integers")
 
+    @cached_property
+    def _typeI_map(self) -> dict[Subset, int]:
+        return dict(self.typeI)
+
+    @cached_property
+    def _typeII_map(self) -> dict[Partition, int]:
+        return dict(self.typeII)
+
     def typeI_coeff(self, subset: Subset) -> int:
-        return dict(self.typeI).get(subset, 0)
+        return self._typeI_map.get(subset, 0)
 
     def typeII_coeff(self, part: Partition) -> int:
-        return dict(self.typeII).get(part, 0)
+        return self._typeII_map.get(part, 0)
 
     def typeII_vector(self) -> tuple[int, ...]:
         """Coefficients over the canonical partition order."""
-        coeffs = dict(self.typeII)
-        return tuple(coeffs.get(p, 0) for p in _partitions(self.n))
+        return tuple(self._typeII_map.get(p, 0) for p in _partitions(self.n))
 
     def to_json_dict(self) -> dict:
         return {
@@ -141,12 +147,13 @@ class DivisorVector:
         n = data["n"]
         if not isinstance(n, int) or isinstance(n, bool):
             raise ValueError("n must be an integer")
-        one = {}
-        for key, coeff in (data.get("typeI") or {}).items():
-            one[Subset.from_key(key)] = cls._int(coeff)
-        two = {}
-        for key, coeff in (data.get("typeII") or {}).items():
-            two[Partition.from_key(key)] = cls._int(coeff)
+        for part in ("typeI", "typeII"):
+            if not isinstance(data.get(part, {}), dict):
+                raise ValueError(f"{part} must be an object of coefficients")
+        one = {Subset.from_key(key): cls._int(coeff)
+               for key, coeff in data.get("typeI", {}).items()}
+        two = {Partition.from_key(key): cls._int(coeff)
+               for key, coeff in data.get("typeII", {}).items()}
         return cls.of(n, one, two)
 
     @staticmethod
@@ -165,23 +172,12 @@ class PushPull:
     partitions: tuple[Partition, ...]
     matrix: IntMatrix            # rows: subsets, cols: partitions
 
-    def push_pull(self, h: Mapping[Partition, int]) -> dict[Subset, int]:
-        """Pull back along membership and push to subsets: S -> sum over P containing S."""
-        out = {}
-        for s, row in zip(self.subsets, self.matrix):
-            val = sum(coeff for p, coeff in h.items() if row[self._pindex(p)])
-            out[s] = val
-        return out
-
     def pull_push(self, k: Mapping[Subset, int]) -> dict[Partition, int]:
         """Pull back along membership and push to partitions: P -> sum of k over blocks."""
         out = {}
         for p in self.partitions:
             out[p] = sum(k.get(Subset(b), 0) for b in p.blocks)
         return out
-
-    def _pindex(self, p: Partition) -> int:
-        return _partition_index(self.n)[p]
 
 
 @lru_cache(maxsize=32)
@@ -269,7 +265,7 @@ def cartier_witness(n: int, divisor: DivisorVector) -> dict[Subset, int]:
     _check_n(n)
     if divisor.n != n:
         raise ValueError("divisor was built for a different n")
-    coeffs = dict(divisor.typeII)
+    coeffs = divisor._typeII_map
     singletons = Partition.of([[x] for x in range(1, n + 1)])
     n_sing = coeffs.get(singletons, 0)
     witness: dict[Subset, int] = {s: 0 for s in _subsets(n)}
@@ -373,10 +369,9 @@ def local_global_crosscheck(n: int) -> CrosscheckReport:
     relation_rows: list[list[int]] = []
     trees = enumerate_trees(n)
     for t in trees:
-        subsets = local_divisors.minimally_complete_subsets(t)
-        dictionary = [pindex[local_divisors.partition_of_subset(t, y)] for y in subsets]
-        incidence = local_divisors._incidence_matrix(t, subsets)
-        for row in kernel_basis(incidence):
+        dictionary = [pindex[local_divisors.partition_of_subset(t, y)]
+                      for y in local_divisors.minimally_complete_subsets(t)]
+        for row in t.relations:
             embedded = [0] * len(partitions)
             for coeff, target in zip(row, dictionary):
                 embedded[target] += coeff

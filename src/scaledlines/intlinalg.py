@@ -222,11 +222,6 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     return IntMatrix(ker, cols=m.cols)
 
 
-def saturation(m: IntMatrix) -> IntMatrix:
-    """Saturation of the row lattice of ``m``: its rational span meets ``Z^cols``."""
-    return kernel_basis(kernel_basis(m))
-
-
 class HnfSolver:
     """Prepared integer solver for repeated ``m @ x = b`` queries.
 
@@ -276,9 +271,8 @@ def solve_integer(m: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
     return HnfSolver(m).solve(b)
 
 
-def _snf_diagonal(work: list[list[int]], u: Optional[list[list[int]]],
-                  v: Optional[list[list[int]]]) -> list[int]:
-    """Diagonalize ``work`` in place with tracked row ops (u) and column ops (v).
+def _snf_diagonal(work: list[list[int]]) -> list[int]:
+    """Diagonalize ``work`` in place by unimodular row and column operations.
 
     Returns the positive invariant factors in divisibility order.
     """
@@ -299,18 +293,11 @@ def _snf_diagonal(work: list[list[int]], u: Optional[list[list[int]]],
         i, j = piv
         if i != k:
             work[k], work[i] = work[i], work[k]
-            if u is not None:
-                u[k], u[i] = u[i], u[k]
         if j != k:
             for row in work:
                 row[k], row[j] = row[j], row[k]
-            if v is not None:
-                for row in v:
-                    row[k], row[j] = row[j], row[k]
         if work[k][k] < 0:
             work[k] = [-x for x in work[k]]
-            if u is not None:
-                u[k] = [-x for x in u[k]]
         # Clear row k and column k by Euclidean steps until both are clean.
         while True:
             p = work[k][k]
@@ -320,8 +307,6 @@ def _snf_diagonal(work: list[list[int]], u: Optional[list[list[int]]],
                 if val:
                     q = val // p
                     _axpy(work[i], work[k], q)
-                    if u is not None:
-                        _axpy(u[i], u[k], q)
                     if work[i][k]:
                         dirty = True
             if dirty:
@@ -333,12 +318,8 @@ def _snf_diagonal(work: list[list[int]], u: Optional[list[list[int]]],
                         piv, best = i, abs(val)
                 if piv != k:
                     work[k], work[piv] = work[piv], work[k]
-                    if u is not None:
-                        u[k], u[piv] = u[piv], u[k]
                 if work[k][k] < 0:
                     work[k] = [-x for x in work[k]]
-                    if u is not None:
-                        u[k] = [-x for x in u[k]]
                 continue
             p = work[k][k]
             dirty = False
@@ -348,9 +329,6 @@ def _snf_diagonal(work: list[list[int]], u: Optional[list[list[int]]],
                     q = val // p
                     for row in work:
                         if row[j] or row[k]:
-                            row[j] -= q * row[k]
-                    if v is not None:
-                        for row in v:
                             row[j] -= q * row[k]
                     if work[k][j]:
                         dirty = True
@@ -363,13 +341,8 @@ def _snf_diagonal(work: list[list[int]], u: Optional[list[list[int]]],
                 if piv != k:
                     for row in work:
                         row[k], row[piv] = row[piv], row[k]
-                    if v is not None:
-                        for row in v:
-                            row[k], row[piv] = row[piv], row[k]
                 if work[k][k] < 0:
                     work[k] = [-x for x in work[k]]
-                    if u is not None:
-                        u[k] = [-x for x in u[k]]
                 continue
             break
         # Enforce divisibility: the pivot must divide the trailing block.
@@ -384,8 +357,6 @@ def _snf_diagonal(work: list[list[int]], u: Optional[list[list[int]]],
                 break
         if offender is not None:
             _axpy(work[k], work[offender], -1)
-            if u is not None:
-                _axpy(u[k], u[offender], -1)
             continue
         k += 1
     return [work[i][i] for i in range(k)]
@@ -394,13 +365,4 @@ def _snf_diagonal(work: list[list[int]], u: Optional[list[list[int]]],
 def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
     """Positive invariant factors ``d_1 | d_2 | ...`` of ``m``."""
     work = m.row_list()
-    return tuple(_snf_diagonal(work, None, None))
-
-
-def smith_transforms(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return ``(U, D, V)`` with ``U @ m @ V == D`` diagonal, U and V unimodular."""
-    work = m.row_list()
-    u = IntMatrix.identity(m.rows).row_list()
-    v = IntMatrix.identity(m.cols).row_list()
-    _snf_diagonal(work, u, v)
-    return IntMatrix(u, cols=m.rows), IntMatrix(work, cols=m.cols), IntMatrix(v, cols=m.cols)
+    return tuple(_snf_diagonal(work))

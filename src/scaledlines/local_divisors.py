@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .intlinalg import HnfSolver, IntMatrix, kernel_basis, solve_integer
-from .trees import ColoredTree, Partition, _require_valid_reduced, canonical_indices
-from .weights import subtree_weights
+from .intlinalg import IntMatrix, solve_integer
+from .trees import ColoredTree, Partition
 
 EdgeSubset = tuple[int, ...]
 LocalDivisor = Mapping[EdgeSubset, int]
@@ -27,39 +26,19 @@ class OracleDisagreement(RuntimeError):
 
 def minimally_complete_subsets(t: ColoredTree) -> tuple[EdgeSubset, ...]:
     """All minimally complete edge subsets, sorted canonically."""
-    _require_valid_reduced(t)
-
-    def rec(v: int) -> list[frozenset[int]]:
-        if t.is_colored(v):
-            return []
-        per_child = []
-        for c in t.children[v]:
-            options = [frozenset([c])]
-            options.extend(ys | frozenset() for ys in rec(c))
-            per_child.append(options)
-        out = [frozenset()]
-        for options in per_child:
-            out = [acc | opt for acc in out for opt in options]
-        return out
-
-    if t.is_colored(t.root):
-        return ()
-    subsets = rec(t.root)
-    return tuple(sorted(tuple(sorted(y)) for y in subsets))
+    return t.mcs
 
 
 def ray_of_subset(t: ColoredTree, y: EdgeSubset) -> tuple[int, ...]:
     """Primitive ray generator attached to a minimally complete subset."""
-    _require_valid_reduced(t)
-    idx = canonical_indices(t)
-    g = len(idx)
+    units = t.units
     chosen = set(y)
     unknown = chosen - set(t.edge_keys)
     if unknown:
         raise ValueError(f"unknown edges {sorted(unknown)}")
 
     def rec(v: int) -> tuple[int, ...]:
-        base = tuple(1 if k == idx[v] - 1 else 0 for k in range(g))
+        base = units[v]
         vec = base
         for c in t.children[v]:
             if c in chosen:
@@ -73,13 +52,12 @@ def ray_of_subset(t: ColoredTree, y: EdgeSubset) -> tuple[int, ...]:
                 vec = tuple(a + (b - c_) for a, b, c_ in zip(vec, sub, base))
         return vec
 
-    result = rec(t.root)
-    return result
+    return rec(t.root)
 
 
 def partition_of_subset(t: ColoredTree, y: EdgeSubset) -> Partition:
     """Partition of the markings into the parts hanging below each cut edge."""
-    _require_valid_reduced(t)
+    t.require_reduced()
     labels = list(t.labels)
     blocks = []
     seen: list[int] = []
@@ -97,7 +75,7 @@ def partition_of_subset(t: ColoredTree, y: EdgeSubset) -> Partition:
 
 def subset_of_partition(t: ColoredTree, p: Partition) -> EdgeSubset:
     """The minimally complete subset that induces ``p``, if the two are compatible."""
-    _require_valid_reduced(t)
+    t.require_reduced()
     if p.ground_set != tuple(t.labels):
         raise ValueError("partition ground set does not match tree labels")
     cuts = []
@@ -117,31 +95,24 @@ def subset_of_partition(t: ColoredTree, p: Partition) -> EdgeSubset:
     return y
 
 
+def _principal_first(t: ColoredTree) -> list[int]:
+    """Uncolored vertex ids: the principal vertex, then the others by index."""
+    order = list(t.index)                 # ids in index order 1..g
+    return order[-1:] + order[:-1]
+
+
 def local_cartier_generators(t: ColoredTree) -> list[dict[EdgeSubset, int]]:
     """One Cartier divisor per uncolored vertex, principal vertex first.
 
     The divisor of a vertex sums every boundary divisor whose subset
     touches the subtree hanging at that vertex.
     """
-    _require_valid_reduced(t)
-    idx = canonical_indices(t)
-    g = len(idx)
-    subsets = minimally_complete_subsets(t)
-    order = sorted(idx, key=idx.__getitem__)          # vertex ids by index 1..g
-    vertex_order = [order[-1]] + order[:-1]           # principal vertex first
+    subsets = t.mcs
     out = []
-    for v in vertex_order:
+    for v in _principal_first(t):
         below = set(t.edges_below(v))
         out.append({y: 1 for y in subsets if below.intersection(y)})
     return out
-
-
-def _incidence_matrix(t: ColoredTree, subsets: tuple[EdgeSubset, ...]) -> IntMatrix:
-    members = [set(y) for y in subsets]
-    return IntMatrix(
-        [[1 if e in m else 0 for m in members] for e in t.edge_keys],
-        cols=len(subsets),
-    )
 
 
 def _coeff_vector(subsets: tuple[EdgeSubset, ...], a: LocalDivisor) -> list[int]:
@@ -172,12 +143,11 @@ def is_cartier_local(t: ColoredTree, a: LocalDivisor) -> CartierDecision:
     kernel, and existence of an integral support function on the rays.
     The returned witness satisfies <u, ray(Y)> = a_Y for every subset.
     """
-    subsets = minimally_complete_subsets(t)
+    subsets = t.mcs
     vec = _coeff_vector(subsets, a)
 
-    relations = kernel_basis(_incidence_matrix(t, subsets))
     violated = None
-    for row in relations:
+    for row in t.relations:
         if sum(m * x for m, x in zip(row, vec)):
             violated = row
             break
@@ -191,34 +161,18 @@ def is_cartier_local(t: ColoredTree, a: LocalDivisor) -> CartierDecision:
     return CartierDecision(witness is not None, witness, violated, subsets)
 
 
-def decompose_cartier(t: ColoredTree, a: LocalDivisor) -> Optional[tuple[int, ...]]:
-    """Integer coordinates of ``a`` over the per-vertex Cartier generators."""
-    subsets = minimally_complete_subsets(t)
-    vec = _coeff_vector(subsets, a)
-    gens = local_cartier_generators(t)
-    columns = IntMatrix(
-        [[gen.get(y, 0) for gen in gens] for y in subsets],
-        cols=len(gens),
-    )
-    return solve_integer(columns, vec)
-
-
 def vertex_witnesses(t: ColoredTree) -> list[tuple[int, ...]]:
     """Support functions for the per-vertex generators: the subtree totals.
 
     Returned in the same order as :func:`local_cartier_generators`.
     """
-    idx = canonical_indices(t)
-    totals = subtree_weights(t)
-    order = sorted(idx, key=idx.__getitem__)
-    vertex_order = [order[-1]] + order[:-1]
-    return [totals[v] for v in vertex_order]
+    totals = t.totals
+    return [totals[v] for v in _principal_first(t)]
 
 
 __all__ = [
     "CartierDecision",
     "OracleDisagreement",
-    "decompose_cartier",
     "is_cartier_local",
     "local_cartier_generators",
     "minimally_complete_subsets",

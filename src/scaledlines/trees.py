@@ -3,8 +3,7 @@
 A colored tree is a rooted tree in which every root-to-leaf path crosses
 exactly one colored vertex.  Colored vertices carry distinct positive
 labels (the markings); after reduction they are exactly the leaves.  The
-vertex adjacent to the root position is called the principal vertex, and
-the subtrees hanging from its children are the principal subtrees.
+vertex adjacent to the root position is called the principal vertex.
 
 Canonical form: children of every vertex are ordered by the smallest
 colored label below them, uncolored vertices are numbered 1..g in
@@ -19,6 +18,8 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
+
+from .intlinalg import IntMatrix, kernel_basis
 
 
 @dataclass(frozen=True, order=True)
@@ -155,7 +156,8 @@ class Vertex:
     label: Optional[int] = None
 
     def __post_init__(self):
-        if self.colored and (self.label is None or self.label < 1):
+        if self.colored and (self.label is None or isinstance(self.label, bool)
+                             or self.label < 1):
             raise ValueError(f"colored vertex {self.id} needs a positive label")
         if not self.colored and self.label is not None:
             raise ValueError(f"uncolored vertex {self.id} must not carry a label")
@@ -227,23 +229,33 @@ class ColoredTree:
             raise ValueError(f"vertex {vid} is not colored")
         return v.label  # type: ignore[return-value]
 
+    def _postorder(self, kids) -> list[int]:
+        """Vertices reached from the root through ``kids(v)``, each after its kids.
+
+        Kids are visited in the order ``kids`` lists them: this is a
+        pre-order walk that takes the last kid first, reversed.  The stack
+        is explicit, so deep trees need no recursion.
+        """
+        order: list[int] = []
+        stack = [self.root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            if len(order) > len(self.vertices):
+                raise ValueError("the edges below the root contain a cycle")
+            stack.extend(kids(v))
+        order.reverse()
+        return order
+
     @cached_property
     def min_label_below(self) -> dict[int, int]:
         out: dict[int, int] = {}
-
-        def rec(v: int) -> int:
+        for v in self._postorder(self.children.__getitem__):
             vtx = self.vertex(v)
+            below = [out[c] for c in self.children[v]]
             if vtx.colored:
-                best = vtx.label
-                kids = [rec(c) for c in self.children[v]]
-                if kids:
-                    best = min(best, min(kids))
-            else:
-                best = min(rec(c) for c in self.children[v])
-            out[v] = best
-            return best
-
-        rec(self.root)
+                below.append(vtx.label)
+            out[v] = min(below)
         return out
 
     def ordered_children(self, vid: int) -> tuple[int, ...]:
@@ -261,15 +273,19 @@ class ColoredTree:
             stack.extend(self.children[v])
         return tuple(sorted(acc))
 
+    @cached_property
+    def _edges_below(self) -> dict[int, tuple[int, ...]]:
+        out: dict[int, tuple[int, ...]] = {}
+        for v in self._postorder(self.children.__getitem__):
+            acc = list(self.children[v])
+            for c in self.children[v]:
+                acc.extend(out[c])
+            out[v] = tuple(sorted(acc))
+        return out
+
     def edges_below(self, vid: int) -> tuple[int, ...]:
         """Edge keys of the subtree rooted at ``vid`` (excluding its own parent edge)."""
-        acc = []
-        stack = list(self.children[vid])
-        while stack:
-            v = stack.pop()
-            acc.append(v)
-            stack.extend(self.children[v])
-        return tuple(sorted(acc))
+        return self._edges_below[vid]
 
     def path_up(self, vid: int) -> tuple[int, ...]:
         """Edge keys on the path from ``vid`` up to the root."""
@@ -285,6 +301,95 @@ class ColoredTree:
             if v.colored and v.label == label:
                 return v.id
         raise KeyError(label)
+
+    # Derived data, computed at most once per tree object.  Everything from
+    # ``units`` on presupposes a valid reduced tree and raises otherwise.
+
+    @cached_property
+    def validation(self) -> "ValidationReport":
+        """The report of :func:`validate_tree` on this tree."""
+        return validate_tree(self)
+
+    @cached_property
+    def _defect(self) -> Optional[str]:
+        if not self.validation.ok:
+            return "invalid colored tree: " + "; ".join(self.validation.issues)
+        if not is_reduced(self):
+            return "tree is not reduced; call reduce_tree first"
+        return None
+
+    def require_reduced(self) -> None:
+        """Raise ``ValueError`` unless this is a valid reduced colored tree."""
+        if self._defect is not None:
+            raise ValueError(self._defect)
+
+    @cached_property
+    def index(self) -> dict[int, int]:
+        """Canonical index 1..g of each uncolored vertex, in index order.
+
+        Post-order, children visited in order of smallest colored label
+        below, so the principal vertex always receives index g.
+        """
+        if self.is_colored(self.root):
+            return {}
+
+        def uncolored_children(v: int) -> list[int]:
+            return [c for c in self.ordered_children(v) if not self.is_colored(c)]
+
+        return {v: k for k, v in enumerate(self._postorder(uncolored_children), 1)}
+
+    @cached_property
+    def units(self) -> dict[int, tuple[int, ...]]:
+        """The unit vector of Z^g at each uncolored vertex's index."""
+        self.require_reduced()
+        g = len(self.index)
+        return {v: tuple(1 if k == i else 0 for k in range(1, g + 1))
+                for v, i in self.index.items()}
+
+    @cached_property
+    def totals(self) -> dict[int, tuple[int, ...]]:
+        """Path-weight total of the subtree below each uncolored vertex, in post-order."""
+        units = self.units
+        zero = (0,) * len(units)
+        out: dict[int, tuple[int, ...]] = {}
+        for v in self._postorder(self.children.__getitem__):
+            if v in units:
+                s = units[v]
+                for c in self.children[v]:
+                    s = tuple(x + y for x, y in zip(s, out.get(c, zero)))
+                out[v] = s
+        return out
+
+    @cached_property
+    def weights(self) -> dict[int, tuple[int, ...]]:
+        """Weight ``s(v) - s(child)`` of every edge, keyed by its child id."""
+        totals = self.totals
+        zero = (0,) * len(totals)
+        return {c: tuple(x - y for x, y in zip(s, totals.get(c, zero)))
+                for v, s in totals.items() for c in self.children[v]}
+
+    @cached_property
+    def mcs(self) -> tuple[tuple[int, ...], ...]:
+        """Minimally complete edge subsets, each sorted, in sorted order."""
+        self.require_reduced()
+        below: dict[int, list[frozenset[int]]] = {}
+        for v in self._postorder(self.children.__getitem__):
+            if self.is_colored(v):
+                continue
+            out = [frozenset()]
+            for c in self.children[v]:
+                options = [frozenset([c]), *below.pop(c, ())]
+                out = [acc | opt for acc in out for opt in options]
+            below[v] = out
+        return tuple(sorted(tuple(sorted(y)) for y in below.get(self.root, ())))
+
+    @cached_property
+    def relations(self) -> IntMatrix:
+        """Kernel of the edge/subset incidence matrix, rows over ``mcs``."""
+        members = [set(y) for y in self.mcs]
+        return kernel_basis(IntMatrix(
+            [[1 if e in m else 0 for m in members] for e in self.edge_keys],
+            cols=len(members)))
 
     def to_json_dict(self) -> dict:
         verts = []
@@ -309,6 +414,8 @@ class ColoredTree:
             raise ValueError("tree document needs root, vertices and edges") from None
         if not isinstance(root, int) or isinstance(root, bool):
             raise ValueError("root must be an integer vertex id")
+        if not isinstance(raw_vertices, list) or not isinstance(raw_edges, list):
+            raise ValueError("vertices and edges must be lists")
         vertices = []
         for item in raw_vertices:
             if not isinstance(item, dict) or "id" not in item or "colored" not in item:
@@ -319,7 +426,7 @@ class ColoredTree:
                 raise ValueError("vertex ids must be integers")
             if not isinstance(colored, bool):
                 raise ValueError("colored must be a boolean")
-            if colored and not isinstance(label, int):
+            if colored and (not isinstance(label, int) or isinstance(label, bool)):
                 raise ValueError(f"colored vertex {vid} needs an integer label")
             vertices.append(Vertex(vid, colored, label if colored else None))
         edges = []
@@ -430,16 +537,15 @@ def validate_tree(t: ColoredTree) -> ValidationReport:
 
     one_per_path = connected and acyclic
     if one_per_path:
-        def walk(v: int, count: int) -> bool:
+        # Walk down from the root counting colored vertices on the way.
+        stack = [(t.root, 0)]
+        while stack and one_per_path:
+            v, count = stack.pop()
             count += 1 if t.is_colored(v) else 0
-            if count > 1:
-                return False
             kids = t.children[v]
-            if not kids:
-                return count == 1
-            return all(walk(c, count) for c in kids)
-
-        one_per_path = walk(t.root, 0)
+            if count > 1 or (count == 0 and not kids):
+                one_per_path = False
+            stack.extend((c, count) for c in kids)
         if not one_per_path:
             issues.append("some root-to-leaf path crosses != 1 colored vertex")
 
@@ -452,14 +558,6 @@ def is_reduced(t: ColoredTree) -> bool:
     return all(not t.children[v.id] for v in t.vertices if v.colored)
 
 
-def _require_valid_reduced(t: ColoredTree) -> None:
-    report = validate_tree(t)
-    if not report.ok:
-        raise ValueError("invalid colored tree: " + "; ".join(report.issues))
-    if not is_reduced(t):
-        raise ValueError("tree is not reduced; call reduce_tree first")
-
-
 def canonical_indices(t: ColoredTree) -> dict[int, int]:
     """Post-order numbering 1..g of the uncolored vertices.
 
@@ -467,47 +565,33 @@ def canonical_indices(t: ColoredTree) -> dict[int, int]:
     principal vertex always receives index g.  These indices are the
     coordinates used by the weight and cone modules.
     """
-    idx: dict[int, int] = {}
-    counter = 0
-
-    def rec(v: int) -> None:
-        nonlocal counter
-        for c in t.ordered_children(v):
-            if not t.is_colored(c):
-                rec(c)
-        counter += 1
-        idx[v] = counter
-
-    if not t.is_colored(t.root):
-        rec(t.root)
-    return idx
+    return dict(t.index)
 
 
 def _canonicalize(t: ColoredTree) -> ColoredTree:
     """Renumber a reduced tree into canonical form."""
-    idx = canonical_indices(t)
-    g = len(idx)
-    mapping = dict(idx)
+    mapping = dict(t.index)
+    g = len(mapping)
     for v in t.vertices:
         if v.colored:
             mapping[v.id] = g + v.label
     vertices = []
     edges: list[tuple[int, int]] = []
-
-    def emit(v: int) -> None:
+    # Pre-order; each edge is listed just before its child vertex.
+    stack = [t.root]
+    while stack:
+        v = stack.pop()
         vtx = t.vertex(v)
+        if v != t.root:
+            edges.append((mapping[t.parent[v]], mapping[v]))
         vertices.append(Vertex(mapping[v], vtx.colored, vtx.label))
-        for c in t.ordered_children(v):
-            edges.append((mapping[v], mapping[c]))
-            emit(c)
-
-    emit(t.root)
+        stack.extend(reversed(t.ordered_children(v)))
     return ColoredTree.build(vertices, edges, mapping[t.root])
 
 
 def reduce_tree(t: ColoredTree) -> ColoredTree:
     """Drop everything strictly below colored vertices and canonicalize."""
-    report = validate_tree(t)
+    report = t.validation
     if not report.ok:
         raise ValueError("invalid colored tree: " + "; ".join(report.issues))
     keep = set()
@@ -523,33 +607,6 @@ def reduce_tree(t: ColoredTree) -> ColoredTree:
         t.root,
     )
     return _canonicalize(trimmed)
-
-
-def principal_subtrees(t: ColoredTree) -> tuple[ColoredTree, ...]:
-    """Canonicalized subtrees hanging from the principal vertex, in child order.
-
-    A branch that ends directly at a colored vertex contributes a
-    single-vertex stub with no uncolored vertices.
-    """
-    _require_valid_reduced(t)
-    if t.is_colored(t.root):
-        return ()
-    out = []
-    for c in t.ordered_children(t.root):
-        ids = {c}
-        stack = [c]
-        while stack:
-            v = stack.pop()
-            for w in t.children[v]:
-                ids.add(w)
-                stack.append(w)
-        sub = ColoredTree.build(
-            [v for v in t.vertices if v.id in ids],
-            [(p, q) for p, q in t.edges if p in ids and q in ids],
-            c,
-        )
-        out.append(_canonicalize(sub))
-    return tuple(out)
 
 
 def tree_for_partition(p: Partition) -> ColoredTree:
@@ -657,7 +714,7 @@ def model_homomorphism(t: ColoredTree, p: Partition) -> Optional[dict[int, int]]
     sibling subtrees into one model vertex.  Returns a vertex map witness,
     or None if no contraction exists.
     """
-    _require_valid_reduced(t)
+    t.require_reduced()
     if tuple(t.labels) != p.ground_set:
         raise ValueError("tree labels and partition ground set differ")
     target = tree_for_partition(p)

@@ -2,7 +2,7 @@
 
 Weights live in the dual lattice Z^g with one coordinate per uncolored
 vertex, indexed by the canonical post-order numbering from
-:func:`scaledlines.trees.canonical_indices`.  Every edge below an
+:attr:`scaledlines.trees.ColoredTree.index`.  Every edge below an
 uncolored vertex ``v`` with subtree totals ``s`` receives the weight
 ``s(v) - s(child)``, and the elementary consequence used throughout is
 that two disjoint edge multisets have equal weight sums exactly when they
@@ -14,66 +14,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .trees import ColoredTree, _require_valid_reduced, canonical_indices
+from .trees import ColoredTree
 
 WeightVector = tuple[int, ...]
 
 
-def _zero(g: int) -> WeightVector:
-    return (0,) * g
-
-def _add(a: WeightVector, b: WeightVector) -> WeightVector:
-    return tuple(x + y for x, y in zip(a, b))
-
-def _sub(a: WeightVector, b: WeightVector) -> WeightVector:
-    return tuple(x - y for x, y in zip(a, b))
-
-def _unit(g: int, i: int) -> WeightVector:
-    return tuple(1 if k == i - 1 else 0 for k in range(g))
-
-
-def _weight_data(t: ColoredTree) -> tuple[dict[int, WeightVector], dict[int, WeightVector]]:
-    """Edge weights and per-uncolored-vertex subtree totals, in one pass."""
-    _require_valid_reduced(t)
-    idx = canonical_indices(t)
-    g = len(idx)
-    weights: dict[int, WeightVector] = {}
-    totals: dict[int, WeightVector] = {}
-
-    def rec(v: int) -> WeightVector:
-        if t.is_colored(v):
-            return _zero(g)
-        partial: dict[int, WeightVector] = {}
-        s = _unit(g, idx[v])
-        for c in t.children[v]:
-            sc = rec(c)
-            partial[c] = sc
-            s = _add(s, sc)
-        for c, sc in partial.items():
-            weights[c] = _sub(s, sc)
-        totals[v] = s
-        return s
-
-    rec(t.root)
-    return weights, totals
-
-
 def label_weights(t: ColoredTree) -> dict[int, WeightVector]:
     """Weight of every edge, keyed by child vertex id."""
-    return _weight_data(t)[0]
+    return dict(t.weights)
 
 
 def total_weight(t: ColoredTree) -> WeightVector:
     """Sum of the weights along any root-to-marking path."""
-    _require_valid_reduced(t)
-    if t.is_colored(t.root):
-        return ()
-    return _weight_data(t)[1][t.root]
+    # A colored root has no uncolored vertex and the empty weight.
+    return t.totals.get(t.root, ())
 
 
 def subtree_weights(t: ColoredTree) -> dict[int, WeightVector]:
     """Path-weight totals of the subtree below each uncolored vertex."""
-    return _weight_data(t)[1]
+    return dict(t.totals)
 
 
 def _check_multisets(t: ColoredTree, a: Mapping[int, int], b: Mapping[int, int]) -> None:
@@ -92,15 +51,13 @@ def _check_multisets(t: ColoredTree, a: Mapping[int, int], b: Mapping[int, int])
 def weight_sum_equal(t: ColoredTree, a: Mapping[int, int], b: Mapping[int, int]) -> bool:
     """Whether two disjoint edge multisets have equal total weight."""
     _check_multisets(t, a, b)
-    weights = label_weights(t)
-    g = t.g
-    total_a = _zero(g)
-    for e, mult in a.items():
-        total_a = _add(total_a, tuple(mult * x for x in weights[e]))
-    total_b = _zero(g)
-    for e, mult in b.items():
-        total_b = _add(total_b, tuple(mult * x for x in weights[e]))
-    return total_a == total_b
+    weights = t.weights
+
+    def total(ms: Mapping[int, int]) -> WeightVector:
+        return tuple(sum(mult * weights[e][k] for e, mult in ms.items())
+                     for k in range(t.g))
+
+    return total(a) == total(b)
 
 
 @dataclass(frozen=True)

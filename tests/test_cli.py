@@ -299,6 +299,49 @@ class TestErrorHandling:
         assert code == 2 and "edge subset key" in err
 
 
+class TestMalformedDocuments:
+    """Malformed documents are input errors: exit 2 and a message, no traceback."""
+
+    def test_tree_vertices_not_a_list(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"root": 1, "vertices": 5, "edges": []}))
+        code, out, err = invoke(capsys, "tree", "validate", "--tree", str(path))
+        assert (code, out) == (2, "") and "must be lists" in err
+
+    def test_divisor_part_not_an_object(self, capsys, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"n": 4, "typeI": [1]}))
+        code, out, err = invoke(capsys, "global", "decide", "--n", "4",
+                                "--divisor", str(path))
+        assert (code, out) == (2, "") and "typeI must be an object" in err
+
+    def test_boolean_label(self, capsys, tmp_path):
+        doc = json.loads(json.dumps(FIG_DOC))
+        doc["vertices"][-1]["label"] = True
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        for verb in ("validate", "weights"):
+            code, out, err = invoke(capsys, "tree", verb, "--tree", str(path))
+            assert (code, out) == (2, "") and "integer label" in err
+
+
+class TestDeepTrees:
+    def test_long_uncolored_chain(self, capsys, tmp_path):
+        depth = 3000
+        doc = {"root": 0,
+               "vertices": [{"id": i, "colored": False} for i in range(depth)]
+               + [{"id": depth, "colored": True, "label": 1}],
+               "edges": [[i, i + 1] for i in range(depth)]}
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "tree", "validate", "--tree", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["report"]["ok"]
+        code, out, err = invoke(capsys, "tree", "mcs", "--tree", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["count"] == depth
+
+
 class TestDeterminism:
     def test_repeated_runs_are_byte_identical(self, capsys, fig_file):
         outputs = set()

@@ -124,9 +124,11 @@ class TestPushPull:
         pp = pushpull_matrix(3)
         rng = random.Random(5)
         h = {p: rng.randint(-4, 4) for p in pp.partitions}
-        pushed = pp.push_pull(h)
-        for s, row in zip(pp.subsets, pp.matrix):
-            assert pushed[s] == sum(e * h[p] for e, p in zip(row, pp.partitions))
+        # The push direction S -> sum of h over partitions with block S is
+        # the matrix itself.
+        pushed = pp.matrix.matvec([h[p] for p in pp.partitions])
+        for s, value in zip(pp.subsets, pushed):
+            assert value == sum(c for p, c in h.items() if s in p)
         k = {s: rng.randint(-4, 4) for s in pp.subsets}
         pulled = pp.pull_push(k)
         for p in pp.partitions:

@@ -6,9 +6,8 @@ import pytest
 
 import helpers
 from scaledlines.cones import generators, pair
-from scaledlines.intlinalg import kernel_basis
+from scaledlines.intlinalg import IntMatrix, solve_integer
 from scaledlines.local_divisors import (CartierDecision, OracleDisagreement,
-                                        _incidence_matrix, decompose_cartier,
                                         is_cartier_local, local_cartier_generators,
                                         minimally_complete_subsets,
                                         partition_of_subset, ray_of_subset,
@@ -132,8 +131,8 @@ class TestCartierGenerators:
 
 class TestIsCartierLocal:
     def test_reference_tree_kernel(self, fig):
-        relations = kernel_basis(_incidence_matrix(fig, FIG_SUBSETS))
-        assert relations.row_list() == [[1, -1, -1, 1]]
+        assert fig.mcs == FIG_SUBSETS
+        assert fig.relations.row_list() == [[1, -1, -1, 1]]
 
     def test_decisions(self, fig):
         yes = is_cartier_local(fig, {y: 1 for y in FIG_SUBSETS})
@@ -167,11 +166,24 @@ class TestIsCartierLocal:
         assert issubclass(OracleDisagreement, RuntimeError)
 
 
+def decompose(t, divisor):
+    """Coordinates of a divisor over the per-vertex Cartier generators.
+
+    Read off its support function, which is the same combination of the
+    vertex witnesses; None when the divisor is not Cartier.
+    """
+    decision = is_cartier_local(t, divisor)
+    if not decision.cartier:
+        return None
+    witnesses = IntMatrix(list(zip(*vertex_witnesses(t))), cols=t.g)
+    return solve_integer(witnesses, decision.witness)
+
+
 class TestDecompose:
     def test_reference_tree(self, fig):
         combined = {(1, 2): 1, (1, 6, 7): 1, (2, 4, 5): 3, (4, 5, 6, 7): 3}
-        assert decompose_cartier(fig, combined) == (1, 2, 0)
-        assert decompose_cartier(fig, {(1, 2): 1}) is None
+        assert decompose(fig, combined) == (1, 2, 0)
+        assert decompose(fig, {(1, 2): 1}) is None
 
     def test_roundtrip_on_random_combinations(self):
         rng = random.Random(11)
@@ -182,7 +194,7 @@ class TestDecompose:
                 coeffs = [rng.randint(-3, 3) for _ in gens]
                 divisor = {y: sum(c * g.get(y, 0) for c, g in zip(coeffs, gens))
                            for y in subsets}
-                solution = decompose_cartier(t, divisor)
+                solution = decompose(t, divisor)
                 assert solution is not None
                 rebuilt = {y: sum(c * g.get(y, 0) for c, g in zip(solution, gens))
                            for y in subsets}

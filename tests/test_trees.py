@@ -1,16 +1,18 @@
 """Colored trees: validation, canonical form, enumeration, compatibility."""
 
+import itertools
 import json
 import random
 
 import pytest
 
 import helpers
+from scaledlines import cones, local_divisors, trees, weights
 from scaledlines.trees import (ColoredTree, Partition, Subset, Vertex,
                                canonical_indices, enumerate_trees, is_compatible,
                                is_reduced, model_homomorphism, partitions_of,
-                               principal_subtrees, proper_subsets, reduce_tree,
-                               set_partitions, tree_for_partition, validate_tree)
+                               proper_subsets, reduce_tree, set_partitions,
+                               tree_for_partition, validate_tree)
 
 
 class TestSubset:
@@ -72,6 +74,10 @@ class TestVertex:
             Vertex(1, False, 2)
         assert Vertex(1, True, 3).label == 3
 
+    def test_boolean_label_rejected(self):
+        with pytest.raises(ValueError):
+            Vertex(1, True, True)
+
 
 class TestValidation:
     def test_reference_tree_is_valid(self, fig):
@@ -129,6 +135,76 @@ class TestValidation:
         assert not validate_tree(t).one_colored_per_path
 
 
+class TestValidatedOnce:
+    """Each tree object is validated at most once, however often it is used."""
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        seen = []                       # the tree of every validate_tree call
+        real = trees.validate_tree
+
+        def counting(t):
+            seen.append(t)
+            return real(t)
+
+        monkeypatch.setattr(trees, "validate_tree", counting)
+        return lambda t: sum(1 for x in seen if x is t)
+
+    @staticmethod
+    def use_everything(t):
+        """Every per-tree question, as a stream of requests asks them."""
+        weights.label_weights(t)
+        cones.generators(t)
+        cones.ray_count(t)
+        cones.verify_duality(t)
+        subsets = local_divisors.minimally_complete_subsets(t)
+        for y in subsets:
+            local_divisors.ray_of_subset(t, y)
+            p = local_divisors.partition_of_subset(t, y)
+            assert local_divisors.subset_of_partition(t, p) == y
+        local_divisors.is_cartier_local(t, {y: 1 for y in subsets})
+        local_divisors.is_cartier_local(t, {subsets[0]: 1})
+        for a, b in itertools.islice(helpers.disjoint_multiset_pairs(t.edge_keys, 2), 3):
+            weights.weight_sum_equal(t, a, b)
+            cert = weights.pairing_certificate(t, a, b)
+            if cert is not None:
+                assert weights.verify_certificate(t, a, b, cert)
+
+    def test_relabeled_reference_tree(self, validations):
+        raw = helpers.relabeled(helpers.fig_tree(), random.Random(4))
+        t = reduce_tree(raw)
+        self.use_everything(t)
+        assert validations(raw) == 1
+        assert validations(t) <= 1
+        assert t == helpers.fig_tree()
+
+    def test_enumerated_tree(self, validations):
+        raw = enumerate_trees(4)[7]
+        t = reduce_tree(raw)
+        self.use_everything(t)
+        assert validations(raw) <= 1
+        assert validations(t) <= 1
+
+    def test_unreduced_tree_raises_every_time(self, validations, fig):
+        t = ColoredTree.build(fig.vertices + (Vertex(8, False),),
+                              fig.edges + ((4, 8),), fig.root)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not reduced"):
+                weights.label_weights(t)
+        assert validations(t) == 1
+
+    def test_invalid_tree_raises_every_time(self, validations):
+        t = ColoredTree.build(
+            [Vertex(1, False), Vertex(2, True, 1), Vertex(3, True, 1)],
+            [(1, 2), (1, 3)], 1)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="invalid colored tree"):
+                local_divisors.minimally_complete_subsets(t)
+        with pytest.raises(ValueError, match="invalid colored tree"):
+            reduce_tree(t)
+        assert validations(t) == 1
+
+
 class TestReduction:
     def test_reference_tree_already_canonical(self, fig):
         assert is_reduced(fig)
@@ -178,24 +254,6 @@ class TestReduction:
         assert reduced.labels == (4, 9)
         # Colored ids are g + label even for sparse label sets.
         assert reduced.colored_id(4) == 5 and reduced.colored_id(9) == 10
-
-
-class TestPrincipalSubtrees:
-    def test_reference_tree(self, fig):
-        subs = principal_subtrees(fig)
-        assert len(subs) == 2
-        assert subs[0].labels == (1, 2) and subs[1].labels == (3, 4)
-        assert all(s.g == 1 for s in subs)
-
-    def test_stub_branches(self):
-        t = tree_for_partition(Partition.of([(1,), (2, 3)]))
-        subs = principal_subtrees(t)
-        assert subs[0].g == 0 and subs[0].labels == (1,)
-        assert subs[1].g == 1 and subs[1].labels == (2, 3)
-
-    def test_colored_root_has_none(self):
-        t = ColoredTree.build([Vertex(1, True, 1)], [], 1)
-        assert principal_subtrees(t) == ()
 
 
 def test_tree_for_partition_matches_reference(fig):
