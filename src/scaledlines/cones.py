@@ -148,7 +148,7 @@ def verify_duality(t: ColoredTree) -> dict:
         not _nonnegative_combination(v, [u for u in gens if u != v])
         for v in gens
     )
-    dim = intlinalg.rank(intlinalg.IntMatrix(list(gens), cols=t.g))
+    dim = intlinalg.rank(intlinalg.IntMatrix._of(gens, t.g))
     scale = total_weight(t)
     on_level = all(pair(scale, v) == 1 for v in gens)
     return {

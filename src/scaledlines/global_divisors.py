@@ -93,7 +93,6 @@ class DivisorVector:
            type_one: Optional[Mapping[Subset, int]] = None,
            type_two: Optional[Mapping[Partition, int]] = None) -> "DivisorVector":
         _check_n(n)
-        ground = tuple(range(1, n + 1))
         one = []
         for subset, coeff in (type_one or {}).items():
             if len(subset) < 2 or any(x > n for x in subset):
@@ -103,7 +102,9 @@ class DivisorVector:
                 one.append((subset, coeff))
         two = []
         for part, coeff in (type_two or {}).items():
-            if part.ground_set != ground:
+            # Lengths first: a huge n must not build a huge ground set.
+            ground = part.ground_set
+            if len(ground) != n or ground != tuple(range(1, n + 1)):
                 raise ValueError(f"type II index {part.key()} does not partition 1..{n}")
             cls._check_coeff(coeff)
             if coeff:
@@ -201,7 +202,8 @@ def pushpull_matrix(n: int) -> PushPull:
     for j, p in enumerate(partitions):
         for block in p.blocks:
             columns[sindex[Subset(block)]][j] = 1
-    return PushPull(n, subsets, partitions, IntMatrix(columns, cols=len(partitions)))
+    matrix = IntMatrix._of(tuple(map(tuple, columns)), len(partitions))
+    return PushPull(n, subsets, partitions, matrix)
 
 
 @lru_cache(maxsize=16)
@@ -219,7 +221,7 @@ def pushpull_rank(n: int) -> int:
 @lru_cache(maxsize=16)
 def _image_solver(n: int) -> HnfSolver:
     # Solve (matrix transposed) @ k = x, i.e. membership in the image lattice.
-    return HnfSolver(pushpull_matrix(n).matrix.transpose())
+    return HnfSolver(pushpull_matrix(n).matrix, transposed=True)
 
 
 @lru_cache(maxsize=16)
@@ -378,7 +380,8 @@ def local_global_crosscheck(n: int) -> CrosscheckReport:
             relation_rows.append(embedded)
 
     if relation_rows:
-        local_lattice = kernel_basis(IntMatrix(relation_rows, cols=len(partitions)))
+        local_lattice = kernel_basis(
+            IntMatrix._of(tuple(map(tuple, relation_rows)), len(partitions)))
     else:
         local_lattice = IntMatrix.identity(len(partitions))
     image = image_lattice_basis(n)
@@ -393,7 +396,7 @@ def local_global_crosscheck(n: int) -> CrosscheckReport:
                 separating = row
                 break
         if separating is None:
-            local_solver = HnfSolver(local_canonical.transpose())
+            local_solver = HnfSolver(local_canonical, transposed=True)
             for row in image:
                 if local_solver.solve(row) is None:
                     separating = row

@@ -12,10 +12,23 @@ caller sees bit-identical results:
 * Kernels are returned as saturated row bases in Hermite normal form.
 * When a linear solve is underdetermined, free coordinates of the
   back-substitution are set to zero, which makes the answer canonical.
+
+Internally every Hermite reduction works on sparse rows, a dict from
+column to nonzero entry, for the matrix and for the transform it tracks
+alike; columns that no remaining row touches are skipped.  The sparse rows
+are built straight from the input's entries, and results are turned back
+into dense :class:`IntMatrix` values only on return.  The pivot rule, the
+row swaps and negations and the reduction above each pivot are those of
+a dense elimination over every column (kept in the tests as the
+reference), so every result is bit-identical to it and the conventions
+above are unchanged.  Matrices that this package builds from
+its own ints skip the per-entry checks of the public constructor.
 """
 
 from __future__ import annotations
 
+import sys
+from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 #: Refuse to allocate matrices larger than this many entries.
@@ -43,6 +56,14 @@ class IntMatrix:
             raise ValueError("matrix exceeds MAX_ENTRIES")
         self._data = data
         self._cols = cols
+
+    @classmethod
+    def _of(cls, data: tuple[tuple[int, ...], ...], cols: int) -> "IntMatrix":
+        """Wrap rows of ints built inside this package, skipping every check."""
+        m = object.__new__(cls)
+        m._data = data
+        m._cols = cols
+        return m
 
     @staticmethod
     def _check_entry(x: int) -> int:
@@ -85,8 +106,8 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         if not self._data:
-            return IntMatrix([[] for _ in range(self.cols)], cols=0)
-        return IntMatrix(zip(*self._data), cols=self.rows)
+            return IntMatrix._of(((),) * self.cols, 0)
+        return IntMatrix._of(tuple(zip(*self._data)), self.rows)
 
     def matvec(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
@@ -96,10 +117,11 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        cols = list(zip(*other._data)) if other._data else []
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self._data],
-            cols=other.cols,
+        cols = list(zip(*other._data)) if other._data else [()] * other.cols
+        return IntMatrix._of(
+            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
+                  for row in self._data),
+            other.cols,
         )
 
     def __eq__(self, other: object) -> bool:
@@ -114,82 +136,120 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self._data]!r})"
 
 
-def _axpy(target: list[int], source: list[int], q: int) -> None:
-    # target -= q * source, in place
-    if q:
-        for k, s in enumerate(source):
-            if s:
-                target[k] -= q * s
+_NO_COLUMN = sys.maxsize   # the leading column of a zero row: past every list index
 
 
-def _hnf_inplace(rows: list[list[int]], track: Optional[list[list[int]]]) -> list[int]:
-    """Row-reduce ``rows`` to Hermite normal form, mirroring ops on ``track``.
+def _sparse_rows(m: IntMatrix) -> list[dict[int, int]]:
+    """The rows of ``m`` as sparse rows (column -> nonzero entry)."""
+    return [{j: row[j] for j in compress(range(len(row)), row)} for row in m._data]
 
-    Returns the list of pivot column indices (one per nonzero row).
+
+def _sparse_columns(m: IntMatrix) -> list[dict[int, int]]:
+    """The rows of ``m``'s transpose as sparse rows, without transposing ``m``."""
+    cols: list[dict[int, int]] = [{} for _ in range(m.cols)]
+    for i, row in enumerate(m._data):
+        for j in compress(range(len(row)), row):
+            cols[j][i] = row[j]
+    return cols
+
+
+def _sparse_identity(n: int) -> list[dict[int, int]]:
+    return [{i: 1} for i in range(n)]
+
+
+def _dense(rows: Iterable[dict[int, int]], cols: int) -> IntMatrix:
+    out = []
+    for row in rows:
+        dense = [0] * cols
+        for j, v in row.items():
+            dense[j] = v
+        out.append(tuple(dense))
+    return IntMatrix._of(tuple(out), cols)
+
+
+def _axpy(target: dict[int, int], source: dict[int, int], q: int) -> None:
+    # target -= q * source, in place, keeping only nonzero entries
+    get = target.get
+    for k, s in source.items():
+        v = get(k, 0) - q * s
+        if v:
+            target[k] = v
+        else:
+            del target[k]
+
+
+def _hnf_inplace(rows: list[dict[int, int]],
+                 track: Optional[list[dict[int, int]]]) -> list[int]:
+    """Row-reduce sparse ``rows`` to Hermite normal form, mirroring ops on ``track``.
+
+    Returns the list of pivot column indices (one per nonzero row).  Rows
+    ``r..m-1`` stay zero left of the current column, so the next column
+    worth eliminating is the smallest leading column among them; every
+    column in between has no nonzero entry in those rows and is skipped.
     """
     m = len(rows)
-    ncols = len(rows[0]) if m else 0
+    lead = [min(row) if row else _NO_COLUMN for row in rows]
     pivots: list[int] = []
-    r = 0
-    for j in range(ncols):
-        if r == m:
+    for r in range(m):
+        j = min(lead[r:])
+        if j == _NO_COLUMN:
             break
-        # Euclidean elimination in column j over rows r..m-1.
+        # Euclidean elimination in column j over the rows that touch it.
+        touching = [i for i in range(r, m) if lead[i] == j]
         while True:
-            piv, best = -1, 0
-            for i in range(r, m):
-                v = rows[i][j]
-                if v and (piv < 0 or abs(v) < best):
-                    piv, best = i, abs(v)
-            if piv < 0:
-                break
+            piv = min(touching, key=lambda i: abs(rows[i][j]))
             if piv != r:
                 rows[r], rows[piv] = rows[piv], rows[r]
+                lead[r], lead[piv] = lead[piv], lead[r]
                 if track is not None:
                     track[r], track[piv] = track[piv], track[r]
             if rows[r][j] < 0:
-                rows[r] = [-x for x in rows[r]]
+                rows[r] = {k: -v for k, v in rows[r].items()}
                 if track is not None:
-                    track[r] = [-x for x in track[r]]
-            p = rows[r][j]
-            clean = True
-            for i in range(r + 1, m):
-                v = rows[i][j]
-                if v:
-                    q = v // p
-                    _axpy(rows[i], rows[r], q)
-                    if track is not None:
-                        _axpy(track[i], track[r], q)
-                    if rows[i][j]:
-                        clean = False
-            if clean:
+                    track[r] = {k: -v for k, v in track[r].items()}
+            pivot_row = rows[r]
+            p = pivot_row[j]
+            # The row that stood at r before the swap now stands at piv.
+            below = sorted(piv if i == r else i for i in touching if i != piv)
+            dirty = []
+            for i in below:
+                row = rows[i]
+                q = row[j] // p
+                _axpy(row, pivot_row, q)
+                if track is not None:
+                    _axpy(track[i], track[r], q)
+                if j in row:
+                    dirty.append(i)
+                else:
+                    lead[i] = min(row) if row else _NO_COLUMN
+            if not dirty:
                 break
-        if r < m and rows[r][j] > 0:
-            pivots.append(j)
-            r += 1
+            touching = [r] + dirty
+        pivots.append(j)
     # Reduce entries above each pivot into [0, pivot).
     for k, j in enumerate(pivots):
-        p = rows[k][j]
+        pivot_row = rows[k]
+        p = pivot_row[j]
         for i in range(k):
-            q = rows[i][j] // p
-            _axpy(rows[i], rows[k], q)
-            if track is not None:
-                _axpy(track[i], track[k], q)
+            q = rows[i].get(j, 0) // p
+            if q:
+                _axpy(rows[i], pivot_row, q)
+                if track is not None:
+                    _axpy(track[i], track[k], q)
     return pivots
 
 
 def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Return ``(H, U)`` with ``U @ m == H`` in row-style Hermite normal form."""
-    rows = m.row_list()
-    track = IntMatrix.identity(m.rows).row_list()
+    rows = _sparse_rows(m)
+    track = _sparse_identity(m.rows)
     _hnf_inplace(rows, track)
-    return IntMatrix(rows, cols=m.cols), IntMatrix(track, cols=m.rows)
+    return _dense(rows, m.cols), _dense(track, m.rows)
 
 
 def rank(m: IntMatrix) -> int:
     """Rank of ``m`` over the rationals (equivalently over the integers)."""
-    rows = m.row_list()
-    return len(_hnf_inplace(rows, None))
+    return len(_hnf_inplace(_sparse_rows(m), None))
 
 
 def row_lattice_hnf(m: IntMatrix) -> IntMatrix:
@@ -197,9 +257,9 @@ def row_lattice_hnf(m: IntMatrix) -> IntMatrix:
 
     Zero rows are dropped, so equal lattices yield equal matrices.
     """
-    rows = m.row_list()
+    rows = _sparse_rows(m)
     pivots = _hnf_inplace(rows, None)
-    return IntMatrix(rows[: len(pivots)], cols=m.cols)
+    return _dense(rows[: len(pivots)], m.cols)
 
 
 def lattice_equal(a: IntMatrix, b: IntMatrix) -> bool:
@@ -211,59 +271,77 @@ def lattice_equal(a: IntMatrix, b: IntMatrix) -> bool:
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Basis of ``{x : m @ x = 0}`` as rows, saturated and HNF-canonical."""
-    t = m.transpose()
-    rows = t.row_list()
-    track = IntMatrix.identity(t.rows).row_list()
+    rows = _sparse_columns(m)
+    track = _sparse_identity(m.cols)
     pivots = _hnf_inplace(rows, track)
     ker = track[len(pivots):]
-    if not ker:
-        return IntMatrix([], cols=m.cols)
     _hnf_inplace(ker, None)
-    return IntMatrix(ker, cols=m.cols)
+    return _dense(ker, m.cols)
+
+
+def _compressed(rows: list[dict[int, int]]) -> tuple[list[tuple[int, ...]],
+                                                     list[tuple[int, ...]]]:
+    """Compressed sparse rows: per row, its columns and its nonzero values."""
+    return [tuple(row) for row in rows], [tuple(row.values()) for row in rows]
 
 
 class HnfSolver:
     """Prepared integer solver for repeated ``m @ x = b`` queries.
 
     The Hermite form of the transpose is computed once; each ``solve`` is a
-    back-substitution.
+    back-substitution.  With ``transposed=True`` the matrix passed in is
+    the transpose of the system matrix, so the transpose's rows are read
+    straight from it.
+
+    The Hermite form ``_h`` and its transform ``_u`` are kept as
+    compressed sparse rows: ``_h[k]`` holds the nonzero values of row k
+    and ``_hcols[k]`` their columns, and likewise for ``_u``.  Iterating a
+    row of ``_h`` or ``_u`` thus yields its nonzero entries, which is how
+    the benchmark tracer (``bench/tracer.py``) reads their sizes.
     """
 
-    def __init__(self, m: IntMatrix):
-        self.m = m
-        t = m.transpose()
-        rows = t.row_list()
-        track = IntMatrix.identity(t.rows).row_list()
+    def __init__(self, m: IntMatrix, transposed: bool = False):
+        rows = _sparse_rows(m) if transposed else _sparse_columns(m)
+        self._b_len = m.cols if transposed else m.rows
+        self._x_len = len(rows)
+        # The system's columns, kept for the final check of each solution.
+        self._acols, self._a = _compressed(rows)
+        track = _sparse_identity(len(rows))
         self._pivots = _hnf_inplace(rows, track)
-        self._h = rows
-        self._u = track
+        self._pivot_values = [rows[k][j] for k, j in enumerate(self._pivots)]
+        self._hcols, self._h = _compressed(rows)
+        self._ucols, self._u = _compressed(track)
 
     def solve(self, b: Sequence[int]) -> Optional[tuple[int, ...]]:
         """A canonical integer solution of ``m @ x = b``, or None."""
-        if len(b) != self.m.rows:
+        if len(b) != self._b_len:
             raise ValueError("dimension mismatch")
         res = list(b)
         coeffs: list[int] = []
-        for k, j in enumerate(self._pivots):
-            p = self._h[k][j]
+        for j, p, cols, vals in zip(self._pivots, self._pivot_values, self._hcols, self._h):
             z, rem = divmod(res[j], p)
             if rem:
                 return None
             coeffs.append(z)
             if z:
-                _axpy(res, self._h[k], z)
+                for c, v in zip(cols, vals):
+                    res[c] -= z * v
         if any(res):
             return None
-        n = self.m.cols
-        x = [0] * n
-        for z, urow in zip(coeffs, self._u):
+        x = [0] * self._x_len
+        for z, cols, vals in zip(coeffs, self._ucols, self._u):
             if z:
-                for k in range(n):
-                    x[k] += z * urow[k]
-        sol = tuple(x)
-        if self.m.matvec(sol) != tuple(b):
+                for c, v in zip(cols, vals):
+                    x[c] += z * v
+        # m @ x in full, summed over the nonzero entries of m only.
+        check = [0] * self._b_len
+        for xk, cols, vals in zip(x, self._acols, self._a):
+            if xk:
+                for c, v in zip(cols, vals):
+                    check[c] += xk * v
+        if check != list(b):
             raise ArithmeticError("solver produced a non-solution")
-        return sol
+        return tuple(x)
 
 
 def solve_integer(m: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
@@ -306,7 +384,7 @@ def _snf_diagonal(work: list[list[int]]) -> list[int]:
                 val = work[i][k]
                 if val:
                     q = val // p
-                    _axpy(work[i], work[k], q)
+                    work[i] = [a - q * b for a, b in zip(work[i], work[k])]
                     if work[i][k]:
                         dirty = True
             if dirty:
@@ -356,7 +434,7 @@ def _snf_diagonal(work: list[list[int]]) -> list[int]:
             if offender is not None:
                 break
         if offender is not None:
-            _axpy(work[k], work[offender], -1)
+            work[k] = [a + b for a, b in zip(work[k], work[offender])]
             continue
         k += 1
     return [work[i][i] for i in range(k)]

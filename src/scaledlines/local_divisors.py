@@ -30,29 +30,41 @@ def minimally_complete_subsets(t: ColoredTree) -> tuple[EdgeSubset, ...]:
 
 
 def ray_of_subset(t: ColoredTree, y: EdgeSubset) -> tuple[int, ...]:
-    """Primitive ray generator attached to a minimally complete subset."""
-    units = t.units
+    """Primitive ray generator attached to a minimally complete subset.
+
+    Walking down from the root through the uncut edges, each vertex ``v``
+    reached contributes ``(1 - k) e_v``, where ``k`` counts its uncut
+    children: the ray of ``v`` is its unit vector plus, for each uncut
+    child, the child's ray minus that unit vector.
+    """
+    t.require_reduced()
+    index = t.index
     chosen = set(y)
     unknown = chosen - set(t.edge_keys)
     if unknown:
         raise ValueError(f"unknown edges {sorted(unknown)}")
 
-    def rec(v: int) -> tuple[int, ...]:
-        base = units[v]
-        vec = base
-        for c in t.children[v]:
+    ray = [0] * len(index)
+    ray[index[t.root] - 1] = 1
+    # Pre-order walk with an explicit stack, so deep trees need no recursion;
+    # child edges are checked in the order a recursive walk meets them.
+    stack = [(t.root, iter(t.children[t.root]))]
+    while stack:
+        v, kids = stack[-1]
+        for c in kids:
             if c in chosen:
-                inside = chosen.intersection(t.edges_below(c))
-                if inside:
+                if chosen.intersection(t.edges_below(c)):
                     raise ValueError("subset is not minimally complete: nested cuts")
+            elif t.is_colored(c):
+                raise ValueError("subset is not minimally complete: uncut marking")
             else:
-                if t.is_colored(c):
-                    raise ValueError("subset is not minimally complete: uncut marking")
-                sub = rec(c)
-                vec = tuple(a + (b - c_) for a, b, c_ in zip(vec, sub, base))
-        return vec
-
-    return rec(t.root)
+                ray[index[v] - 1] -= 1
+                ray[index[c] - 1] = 1
+                stack.append((c, iter(t.children[c])))
+                break
+        else:
+            stack.pop()
+    return tuple(ray)
 
 
 def partition_of_subset(t: ColoredTree, y: EdgeSubset) -> Partition:
@@ -152,7 +164,7 @@ def is_cartier_local(t: ColoredTree, a: LocalDivisor) -> CartierDecision:
             violated = row
             break
 
-    rays = IntMatrix([list(ray_of_subset(t, y)) for y in subsets], cols=t.g)
+    rays = IntMatrix._of(tuple(ray_of_subset(t, y) for y in subsets), t.g)
     witness = solve_integer(rays, vec)
 
     if (violated is None) != (witness is not None):

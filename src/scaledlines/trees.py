@@ -387,9 +387,9 @@ class ColoredTree:
     def relations(self) -> IntMatrix:
         """Kernel of the edge/subset incidence matrix, rows over ``mcs``."""
         members = [set(y) for y in self.mcs]
-        return kernel_basis(IntMatrix(
-            [[1 if e in m else 0 for m in members] for e in self.edge_keys],
-            cols=len(members)))
+        return kernel_basis(IntMatrix._of(
+            tuple(tuple(1 if e in m else 0 for m in members) for e in self.edge_keys),
+            len(members)))
 
     def to_json_dict(self) -> dict:
         verts = []

@@ -2,7 +2,10 @@
 
 Everything here is deliberately written by a different route than the
 package code it checks: counts come from integer-partition multinomials,
-determinants and ranks from fraction Gaussian elimination.
+determinants and ranks from fraction Gaussian elimination.  The one
+exception is the dense Hermite elimination, which follows the package's
+sparse one step for step over dense rows, so that the two must agree
+bit for bit.
 """
 
 from __future__ import annotations
@@ -157,3 +160,79 @@ def _multisets(edges, total: int):
     """All multisets over ``edges`` with exactly ``total`` elements."""
     for combo in itertools.combinations_with_replacement(edges, total):
         yield dict(Counter(combo))
+
+
+def dense_hnf_inplace(rows, track):
+    """Row-reduce dense ``rows`` to Hermite normal form, mirroring ops on ``track``.
+
+    The reference for ``intlinalg._hnf_inplace``: the same pivot rule
+    (smallest absolute value, ties to the lowest row), the same swaps and
+    negations and the same reduction above each pivot into ``[0, pivot)``,
+    on dense rows and visiting every column.  Returns the pivot columns.
+    """
+    def axpy(target, source, q):
+        if q:
+            for k, s in enumerate(source):
+                if s:
+                    target[k] -= q * s
+
+    m = len(rows)
+    ncols = len(rows[0]) if m else 0
+    pivots = []
+    r = 0
+    for j in range(ncols):
+        if r == m:
+            break
+        # Euclidean elimination in column j over rows r..m-1.
+        while True:
+            piv, best = -1, 0
+            for i in range(r, m):
+                v = rows[i][j]
+                if v and (piv < 0 or abs(v) < best):
+                    piv, best = i, abs(v)
+            if piv < 0:
+                break
+            if piv != r:
+                rows[r], rows[piv] = rows[piv], rows[r]
+                if track is not None:
+                    track[r], track[piv] = track[piv], track[r]
+            if rows[r][j] < 0:
+                rows[r] = [-x for x in rows[r]]
+                if track is not None:
+                    track[r] = [-x for x in track[r]]
+            p = rows[r][j]
+            clean = True
+            for i in range(r + 1, m):
+                v = rows[i][j]
+                if v:
+                    q = v // p
+                    axpy(rows[i], rows[r], q)
+                    if track is not None:
+                        axpy(track[i], track[r], q)
+                    if rows[i][j]:
+                        clean = False
+            if clean:
+                break
+        if r < m and rows[r][j] > 0:
+            pivots.append(j)
+            r += 1
+    # Reduce entries above each pivot into [0, pivot).
+    for k, j in enumerate(pivots):
+        p = rows[k][j]
+        for i in range(k):
+            q = rows[i][j] // p
+            axpy(rows[i], rows[k], q)
+            if track is not None:
+                axpy(track[i], track[k], q)
+    return pivots
+
+
+def dense_kernel_basis(rows, cols):
+    """Kernel basis rows of the matrix ``rows`` (``cols`` columns) by the dense reference."""
+    work = [list(c) for c in zip(*rows)] if rows else [[] for _ in range(cols)]
+    track = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    pivots = dense_hnf_inplace(work, track)
+    ker = track[len(pivots):]
+    if ker:
+        dense_hnf_inplace(ker, None)
+    return ker

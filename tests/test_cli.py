@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import helpers
 from scaledlines.cli import run
@@ -340,6 +341,116 @@ class TestDeepTrees:
         code, out, err = invoke(capsys, "tree", "mcs", "--tree", str(path))
         assert (code, err) == (0, "")
         assert json.loads(out)["count"] == depth
+
+    def test_rays_and_cartier_on_long_chain(self, capsys, tmp_path):
+        # Deeper than the default recursion limit.  The root also carries
+        # marking 2, so every cut yields a partition with two blocks.
+        depth = 1200
+        doc = {"root": 0,
+               "vertices": [{"id": i, "colored": False} for i in range(depth)]
+               + [{"id": depth, "colored": True, "label": 1},
+                  {"id": depth + 1, "colored": True, "label": 2}],
+               "edges": [[i, i + 1] for i in range(depth)] + [[0, depth + 1]]}
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(doc))
+        divisor = tmp_path / "divisor.json"
+        code, out, err = invoke(capsys, "tree", "rays", "--tree", str(path))
+        assert (code, err) == (0, "")
+        rays = json.loads(out)["rays"]
+        assert len(rays) == depth
+        # Canonical ids: uncolored 1..depth from the bottom up (the root is
+        # depth), markings 1 and 2 are depth + 1 and depth + 2.  Cutting the
+        # edge above vertex k leaves k + 1 the lowest uncut vertex, and the
+        # ray is its unit vector; cutting at marking 1 leaves vertex 1.
+        units = {tuple(r["subset"]): r["ray"].index(1) + 1 for r in rays}
+        assert all(r["ray"].count(0) == depth - 1 and sum(r["ray"]) == 1
+                   and r["partition"] == "1|2" for r in rays)
+        assert units == {**{(k, depth + 2): k + 1 for k in range(1, depth)},
+                         (depth + 1, depth + 2): 1}
+        divisor.write_text(json.dumps({f"{depth + 1},{depth + 2}": 1,
+                                       f"{depth - 1},{depth + 2}": -2}))
+        code, out, err = invoke(capsys, "tree", "cartier-local", "--tree", str(path),
+                                "--divisor", str(divisor))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["cartier"]
+
+
+# Arbitrary JSON documents, and documents with each loader's top-level keys
+# holding arbitrary JSON, so that the fuzzing reaches past the first check.
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(max_size=8) | st.sampled_from(["1", "1,2", "1|2", "2,3|1"]))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6) | st.sampled_from(["1", "1,2", "1|2,3"]),
+                      inner, max_size=4),
+    max_leaves=12)
+SMALL_INTS = st.integers(-2, 12)
+
+
+def _shaped(keys):
+    return st.fixed_dictionaries({k: JSON_VALUES | SMALL_INTS for k in keys})
+
+
+TREE_DOCS = (JSON_VALUES | _shaped(["root", "vertices", "edges"])
+             | st.fixed_dictionaries({
+                 "root": SMALL_INTS,
+                 "vertices": st.lists(st.fixed_dictionaries(
+                     {"id": SMALL_INTS, "colored": st.booleans()},
+                     optional={"label": SMALL_INTS | JSON_VALUES}), max_size=6),
+                 "edges": st.lists(st.lists(SMALL_INTS, min_size=2, max_size=2)
+                                   | JSON_VALUES, max_size=6)}))
+LOCAL_DIVISOR_DOCS = JSON_VALUES | st.dictionaries(
+    st.sampled_from(["4,6", "5,6", "6,5", "4", "x", "4,5,6,7", ""]), SMALL_INTS | JSON_VALUES)
+MULTISET_DOCS = JSON_VALUES | _shaped(["a", "b"]) | st.fixed_dictionaries({
+    side: st.dictionaries(st.sampled_from(["1", "2", "4", "5", "9", "-1", "x"]),
+                          SMALL_INTS | JSON_VALUES, max_size=4) for side in ("a", "b")})
+DIVISOR_DOCS = JSON_VALUES | _shaped(["n", "typeI", "typeII"]) | st.fixed_dictionaries({
+    "n": SMALL_INTS | JSON_VALUES,
+    "typeI": st.dictionaries(st.sampled_from(["1,2", "2,3,4", "1,5", "0,1", "1"]),
+                             SMALL_INTS | JSON_VALUES, max_size=3),
+    "typeII": st.dictionaries(st.sampled_from(["1|2,3,4", "1,2|3,4", "1|2|3|4", "1|2", "x"]),
+                              SMALL_INTS | JSON_VALUES, max_size=3)})
+
+
+class TestLoaderFuzz:
+    """Every loader answers any JSON document with exit 0, 2 or 3, never a traceback."""
+
+    @staticmethod
+    def _run(capsys, tmp_path, doc, *argv):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = [str(path) if a == "{doc}" else a for a in argv]
+        code, _, err = invoke(capsys, *argv)
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=TREE_DOCS, verb=st.sampled_from(["validate", "mcs", "rays"]))
+    def test_tree_loader(self, capsys, tmp_path, doc, verb):
+        self._run(capsys, tmp_path, doc, "tree", verb, "--tree", "{doc}")
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=LOCAL_DIVISOR_DOCS)
+    def test_local_divisor_loader(self, capsys, tmp_path, fig_file, doc):
+        self._run(capsys, tmp_path, doc, "tree", "cartier-local", "--tree", fig_file,
+                  "--divisor", "{doc}")
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=MULTISET_DOCS)
+    def test_multiset_loader(self, capsys, tmp_path, fig_file, doc):
+        self._run(capsys, tmp_path, doc, "tree", "weights", "--tree", fig_file,
+                  "--multisets", "{doc}")
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=DIVISOR_DOCS, verb=st.sampled_from(["decide", "witness"]))
+    @example(doc={"n": 2 ** 62, "typeII": {"1|2": 1}}, verb="decide")
+    def test_global_divisor_loader(self, capsys, tmp_path, doc, verb):
+        self._run(capsys, tmp_path, doc, "global", verb, "--n", "4", "--divisor", "{doc}")
 
 
 class TestDeterminism:

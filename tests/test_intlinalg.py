@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from scaledlines.intlinalg import (HnfSolver, IntMatrix, hermite_normal_form,
+from scaledlines.global_divisors import pushpull_matrix
+from scaledlines.intlinalg import (HnfSolver, IntMatrix, _hnf_inplace, hermite_normal_form,
                                    kernel_basis, lattice_equal, rank,
                                    row_lattice_hnf, smith_normal_form, solve_integer)
 
@@ -34,6 +35,14 @@ class TestIntMatrix:
         with pytest.raises(TypeError):
             IntMatrix([[True]])
 
+    def test_non_int_rejected_before_transpose(self):
+        # transpose builds its result unchecked; its input went through the checks.
+        for bad in (True, 1.0, 2.5):
+            with pytest.raises(TypeError):
+                IntMatrix([[1, bad], [3, 4]]).transpose()
+            with pytest.raises(TypeError):
+                IntMatrix([[1, 2]]).transpose() @ IntMatrix([[1, bad]])
+
     def test_empty_needs_cols(self):
         with pytest.raises(ValueError):
             IntMatrix([])
@@ -54,6 +63,8 @@ class TestIntMatrix:
         b = IntMatrix([[0, 1], [1, 0]])
         assert a @ b == IntMatrix([[2, 1], [4, 3]])
         assert a.matvec((1, 1)) == (3, 7)
+        # An inner dimension of zero gives the zero matrix of the outer shape.
+        assert IntMatrix([[], []], cols=0) @ IntMatrix([], cols=3) == IntMatrix.zeros(2, 3)
         with pytest.raises(ValueError):
             a.matvec((1, 1, 1))
 
@@ -154,6 +165,64 @@ class TestSmith:
         m = IntMatrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
         assert smith_normal_form(m) == (2, 2, 156)
         assert 2 * 2 * 156 == abs(helpers.fraction_det(m.row_list()))
+
+
+def _sparse(rows):
+    return [{j: v for j, v in enumerate(row) if v} for row in rows]
+
+
+def _dense(rows, cols):
+    out = [[0] * cols for _ in rows]
+    for dense, row in zip(out, rows):
+        for j, v in row.items():
+            dense[j] = v
+    return out
+
+
+def _dense_compressed(cols_of_rows, vals_of_rows, width):
+    return _dense([dict(zip(c, v)) for c, v in zip(cols_of_rows, vals_of_rows)], width)
+
+
+# Mostly zeros, so that zero rows and zero columns come up often.
+sparse_entries = st.one_of(st.just(0), st.just(0), st.integers(-30, 30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 9).flatmap(lambda r: st.integers(1, 9).flatmap(
+    lambda c: st.lists(st.lists(sparse_entries, min_size=c, max_size=c),
+                       min_size=r, max_size=r).map(lambda rows: (rows, c)))),
+       st.booleans())
+def test_sparse_engine_matches_dense_reference(shape, with_track):
+    rows, cols = shape
+    dense = [list(r) for r in rows]
+    dense_track = ([[int(i == j) for j in range(len(rows))] for i in range(len(rows))]
+                   if with_track else None)
+    dense_pivots = helpers.dense_hnf_inplace(dense, dense_track)
+    sparse = _sparse(rows)
+    sparse_track = [{i: 1} for i in range(len(rows))] if with_track else None
+    assert _hnf_inplace(sparse, sparse_track) == dense_pivots
+    assert _dense(sparse, cols) == dense
+    if with_track:
+        assert _dense(sparse_track, len(rows)) == dense_track
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_pushpull_routines_match_dense_reference(n):
+    m = pushpull_matrix(n).matrix
+    rows = [list(r) for r in m]
+    assert [list(r) for r in kernel_basis(m)] == helpers.dense_kernel_basis(rows, m.cols)
+    assert rank(m) == len(helpers.dense_hnf_inplace([list(r) for r in m], None))
+    # The image solver reduces the rows of m itself (the transpose of its system).
+    h = [list(r) for r in m]
+    u = [[int(i == j) for j in range(m.rows)] for i in range(m.rows)]
+    pivots = helpers.dense_hnf_inplace(h, u)
+    solver = HnfSolver(m, transposed=True)
+    assert solver._pivots == pivots
+    assert _dense_compressed(solver._hcols, solver._h, m.cols) == h
+    assert _dense_compressed(solver._ucols, solver._u, m.rows) == u
+    untransposed = HnfSolver(m.transpose())
+    assert (untransposed._hcols, untransposed._h) == (solver._hcols, solver._h)
+    assert (untransposed._ucols, untransposed._u) == (solver._ucols, solver._u)
 
 
 def matrices(max_dim=5, max_entry=9):
