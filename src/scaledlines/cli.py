@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Optional, Sequence
 
 from . import cones, global_divisors, local_divisors, trees, weights
@@ -31,12 +32,100 @@ def _schema(name: str) -> str:
     return f"{SCHEMA_PREFIX}.{name}/{SCHEMA_VERSION}"
 
 
+#: Characters of JSON gathered before each write to stdout.
+_BATCH_CHARS = 1 << 16
+_CONTAINERS = (dict, list, tuple)
+
+
 def _emit_json(doc) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    """Write exactly ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``.
+
+    The layout of dicts, lists and tuples is written here, and the output
+    goes out in batches of about 64 KiB that never split a row of ints,
+    so no large document is ever held as one string.  Every key and
+    scalar goes through the stdlib encoders.  (``json`` itself skips its
+    C encoder when ``indent`` is set, which made it the slowest part of
+    large documents.)
+    """
+    write = sys.stdout.write
+    batch: list[str] = []
+    size = 0
+    for chunk in _json_chunks(doc, "\n"):
+        batch.append(chunk)
+        size += len(chunk)
+        # Batched, because unbuffered stdout turns every write into a system call.
+        if size >= _BATCH_CHARS:
+            write("".join(batch))
+            batch, size = [], 0
+    batch.append("\n")
+    write("".join(batch))
+
+
+def _json_chunks(value, newline: str):
+    # ``newline`` is the line break plus the indent of ``value`` itself.
+    if isinstance(value, dict):
+        if not value:
+            yield "{}"
+            return
+        inner = newline + "  "
+        lead = "{" + inner
+        # Sorting the items sorts int keys as ints, before they become
+        # strings, as ``json`` does.
+        for key, item in sorted(value.items()):
+            if isinstance(item, _CONTAINERS):
+                yield lead + _json_key(key) + ": "
+                yield from _json_chunks(item, inner)
+            else:
+                yield lead + _json_key(key) + ": " + _json_scalar(item)
+            lead = "," + inner
+        yield newline + "}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            yield "[]"
+            return
+        inner = newline + "  "
+        # A row of plain ints is one chunk; bools and int subclasses are
+        # left to json.dumps.
+        if {*map(type, value)} == {int}:
+            yield "[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]"
+            return
+        lead = "[" + inner
+        for item in value:
+            if isinstance(item, _CONTAINERS):
+                yield lead
+                yield from _json_chunks(item, inner)
+            else:
+                yield lead + _json_scalar(item)
+            lead = "," + inner
+        yield newline + "]"
+    else:
+        yield _json_scalar(value)
+
+
+def _json_scalar(value) -> str:
+    if type(value) is str:
+        return _encode_str(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return _encode_str(key)
+    if key is None or isinstance(key, (int, float)):
+        return _encode_str(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _emit_text(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
+
+
+def _emit_lines(lines) -> None:
+    write = sys.stdout.write
+    for line in lines:
+        write(line + "\n")
 
 
 def _bound(n: int, default: int, what: str) -> None:
@@ -140,14 +229,13 @@ def _cmd_strata(args) -> int:
     if args.s is not None:
         doc["s"] = args.s
     if args.format == "csv":
-        lines = ["kind,label"]
-        lines.extend(f"typeI,{s.key()}" for s in listing.typeI)
+        _emit_text("kind,label")
+        _emit_lines(f"typeI,{s.key()}" for s in listing.typeI)
         if args.s is None:
-            lines.extend(f"typeII,{p.key()}" for p in listing.typeII)
+            _emit_lines(f"typeII,{p.key()}" for p in listing.typeII)
         else:
-            lines.extend(
+            _emit_lines(
                 f"typeII,{p.key()};{'+'.join(str(x) for x in j)}" for p, j in listing.typeII)
-        _emit_text("\n".join(lines))
     else:
         _emit_json(doc)
     return 0
@@ -269,34 +357,31 @@ def _cmd_global(args) -> int:
         basis = global_divisors.relations_basis(n)
         partitions = [p.key() for p in global_divisors.pushpull_matrix(n).partitions]
         if args.format == "csv":
-            lines = [",".join(partitions)]
-            lines.extend(",".join(str(x) for x in row) for row in basis)
-            _emit_text("\n".join(lines))
+            _emit_text(",".join(partitions))
+            _emit_lines(",".join(map(str, row)) for row in basis)
             return 0
         _emit_json({
             "schema": _schema("relations"),
             "n": n,
             "partitions": partitions,
-            "basis": [list(row) for row in basis],
+            "basis": tuple(basis),
         })
         return 0
 
     if args.verb == "pushpull":
         pp = global_divisors.pushpull_matrix(n)
         if args.format == "csv":
-            header = "subset," + ",".join(p.key() for p in pp.partitions)
-            lines = [header]
-            lines.extend(
-                s.key().replace(",", "+") + "," + ",".join(str(x) for x in row)
+            _emit_text("subset," + ",".join(p.key() for p in pp.partitions))
+            _emit_lines(
+                s.key().replace(",", "+") + "," + ",".join(map(str, row))
                 for s, row in zip(pp.subsets, pp.matrix))
-            _emit_text("\n".join(lines))
             return 0
         _emit_json({
             "schema": _schema("pushpull"),
             "n": n,
             "subsets": [s.key() for s in pp.subsets],
             "partitions": [p.key() for p in pp.partitions],
-            "matrix": [list(row) for row in pp.matrix],
+            "matrix": tuple(pp.matrix),
         })
         return 0
 

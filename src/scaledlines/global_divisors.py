@@ -192,16 +192,22 @@ def _subset_index(n: int) -> dict[Subset, int]:
 
 
 @lru_cache(maxsize=16)
+def _block_indices(n: int) -> tuple[tuple[int, ...], ...]:
+    # Per partition, in canonical order, the subset indices of its blocks.
+    sindex = _subset_index(n)
+    return tuple(tuple(sindex[Subset(b)] for b in p.blocks) for p in _partitions(n))
+
+
+@lru_cache(maxsize=16)
 def pushpull_matrix(n: int) -> PushPull:
     """The 0/1 matrix with a row per proper subset and a column per partition."""
     _check_n(n)
     subsets = _subsets(n)
     partitions = _partitions(n)
-    sindex = _subset_index(n)
     columns: list[list[int]] = [[0] * len(partitions) for _ in subsets]
-    for j, p in enumerate(partitions):
-        for block in p.blocks:
-            columns[sindex[Subset(block)]][j] = 1
+    for j, blocks in enumerate(_block_indices(n)):
+        for i in blocks:
+            columns[i][j] = 1
     matrix = IntMatrix._of(tuple(map(tuple, columns)), len(partitions))
     return PushPull(n, subsets, partitions, matrix)
 
@@ -231,11 +237,12 @@ def image_lattice_basis(n: int) -> IntMatrix:
 
 
 def is_cartier_global(n: int, divisor: DivisorVector) -> bool:
-    """Whether the divisor is Cartier: type II part in the push-pull image lattice."""
-    _check_n(n)
-    if divisor.n != n:
-        raise ValueError("divisor was built for a different n")
-    return _image_solver(n).solve(divisor.typeII_vector()) is not None
+    """Whether the divisor is Cartier: type II part in the push-pull image lattice.
+
+    Decided by the exact reconstruction behind :func:`cartier_witness`;
+    the HNF image solver stays the oracle in the tests.
+    """
+    return _reconstruct_witness(n, divisor)[1] is None
 
 
 def simple_partition_for(subset: Subset, n: int) -> Partition:
@@ -259,10 +266,24 @@ def simple_partitions(n: int) -> tuple[Partition, ...]:
 def cartier_witness(n: int, divisor: DivisorVector) -> dict[Subset, int]:
     """An integral function on proper subsets whose pull-push is the type II part.
 
+    Raises :class:`NotCartierError` when the divisor is not Cartier.
+    """
+    witness, miss = _reconstruct_witness(n, divisor)
+    if miss is not None:
+        raise NotCartierError(
+            f"no witness: reconstruction differs at partition {miss.key()}")
+    return witness
+
+
+def _reconstruct_witness(
+        n: int, divisor: DivisorVector) -> tuple[dict[Subset, int], Optional[Partition]]:
+    """The witness the simple partitions pin down, and the first partition it misses.
+
     The value on {1} is pinned to the all-singletons coefficient and the
-    other singleton values to zero, which determines everything else on the
-    simple partitions.  Verification is exact; failure means the divisor is
-    not Cartier.
+    other singleton values to zero; any witness can be moved there by a
+    kernel vector, and then the simple partitions determine everything
+    else.  Verification over every partition is exact, so the divisor is
+    Cartier exactly when no partition is missed (second item None).
     """
     _check_n(n)
     if divisor.n != n:
@@ -276,12 +297,11 @@ def cartier_witness(n: int, divisor: DivisorVector) -> dict[Subset, int]:
         if len(s) >= 2:
             correction = n_sing if 1 not in s else 0
             witness[s] = coeffs.get(simple_partition_for(s, n), 0) - correction
-    for p in _partitions(n):
-        total = sum(witness[Subset(b)] for b in p.blocks)
-        if total != coeffs.get(p, 0):
-            raise NotCartierError(
-                f"no witness: reconstruction differs at partition {p.key()}")
-    return witness
+    values = [witness[s] for s in _subsets(n)]
+    for p, blocks in zip(_partitions(n), _block_indices(n)):
+        if sum([values[i] for i in blocks]) != coeffs.get(p, 0):
+            return witness, p
+    return witness, None
 
 
 def pullback_forgetful(n: int, subset: Subset) -> DivisorVector:

@@ -2,15 +2,16 @@
 
 Everything here is deliberately written by a different route than the
 package code it checks: counts come from integer-partition multinomials,
-determinants and ranks from fraction Gaussian elimination.  The one
-exception is the dense Hermite elimination, which follows the package's
-sparse one step for step over dense rows, so that the two must agree
-bit for bit.
+determinants and ranks from fraction Gaussian elimination, and JSON
+documents from the stdlib encoder.  The one exception is the dense
+Hermite elimination, which follows the package's sparse one step for step
+over dense rows, so that the two must agree bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -236,3 +237,8 @@ def dense_kernel_basis(rows, cols):
     if ker:
         dense_hnf_inplace(ker, None)
     return ker
+
+
+def reference_json(doc) -> str:
+    """The bytes a JSON-emitting command must print for ``doc``: the stdlib encoder's."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

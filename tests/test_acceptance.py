@@ -13,6 +13,7 @@ from contextlib import contextmanager
 import helpers
 from scaledlines.cones import generators, pair, ray_count
 from scaledlines.global_divisors import (DivisorVector, NotCartierError,
+                                         _image_solver,
                                          cartier_witness, enumerate_strata,
                                          enumerate_strata_multi,
                                          image_lattice_basis, is_cartier_global,
@@ -218,6 +219,11 @@ def test_criterion_10_simple_partitions():
             assert len(simple_partitions(n)) == 2 ** n - n - 1
 
 
+def hnf_cartier(n, divisor):
+    """The image-lattice decision by HNF, a route independent of the witness."""
+    return _image_solver(n).solve(divisor.typeII_vector()) is not None
+
+
 def test_criterion_11_pullbacks_are_cartier():
     with criterion(11, "forgetful and cross-ratio pullbacks are Cartier, n <= 6"):
         for n in range(3, 7):
@@ -225,11 +231,13 @@ def test_criterion_11_pullbacks_are_cartier():
                 if len(s) < n:
                     d = pullback_forgetful(n, s)
                     assert is_cartier_global(n, d)
+                    assert hnf_cartier(n, d)
                     cartier_witness(n, d)
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
                     d = pullback_fij(n, i, j)
                     assert is_cartier_global(n, d)
+                    assert hnf_cartier(n, d)
                     cartier_witness(n, d)
         assert len(pullback_fij(4, 1, 4).typeII) == 10
 
@@ -244,6 +252,7 @@ def test_criterion_12_witness_sampling():
                 k = {s: rng.randint(-3, 3) for s in pp.subsets}
                 divisor = DivisorVector.of(n, {}, pp.pull_push(k))
                 assert is_cartier_global(n, divisor)
+                assert hnf_cartier(n, divisor)
                 witness = cartier_witness(n, divisor)
                 rebuilt = pp.pull_push(witness)
                 for p in pp.partitions:
@@ -259,7 +268,10 @@ def test_criterion_12_witness_sampling():
             while refused < 1000:
                 coeffs = {p: rng.randint(-3, 3) for p in pp.partitions}
                 divisor = DivisorVector.of(n, {}, coeffs)
-                if is_cartier_global(n, divisor):
+                # The witness route decides, so the HNF route checks it.
+                cartier = is_cartier_global(n, divisor)
+                assert cartier == hnf_cartier(n, divisor)
+                if cartier:
                     continue
                 try:
                     cartier_witness(n, divisor)

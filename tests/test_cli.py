@@ -1,5 +1,8 @@
 """Command line interface: output bytes, formats, exit codes."""
 
+import contextlib
+import hashlib
+import io
 import json
 import random
 import subprocess
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import helpers
+from scaledlines import cli
 from scaledlines.cli import run
 from scaledlines.trees import proper_subsets
 
@@ -374,6 +378,64 @@ class TestDeepTrees:
         assert (code, err) == (0, "")
         assert json.loads(out)["cartier"]
 
+    def test_weight_certificate_on_long_chain(self, capsys, tmp_path):
+        # The chain of the test above.  Canonical edge ids: k for the edge
+        # above uncolored vertex k (1..depth - 1), depth + 1 and depth + 2
+        # for the edges to markings 1 and 2.
+        depth = 1200
+        doc = {"root": 0,
+               "vertices": [{"id": i, "colored": False} for i in range(depth)]
+               + [{"id": depth, "colored": True, "label": 1},
+                  {"id": depth + 1, "colored": True, "label": 2}],
+               "edges": [[i, i + 1] for i in range(depth)] + [[0, depth + 1]]}
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(doc))
+        ms = tmp_path / "ms.json"
+        ms.write_text(json.dumps({"a": {"1": 1}, "b": {str(depth + 1): 1}}))
+        code, out, err = invoke(capsys, "tree", "weights", "--tree", str(path),
+                                "--multisets", str(ms))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["comparison"] == {"equal": False, "certificate": None}
+        # The two paths from the root: down the whole chain to marking 1,
+        # and straight to marking 2.
+        down = {str(k): 1 for k in range(1, depth)}
+        ms.write_text(json.dumps({"a": {str(depth + 2): 1},
+                                  "b": {**down, str(depth + 1): 1}}))
+        code, out, err = invoke(capsys, "tree", "weights", "--tree", str(path),
+                                "--multisets", str(ms))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["comparison"] == {"equal": True, "certificate": [{
+            "a_edges": [depth + 2], "b_edges": [*range(1, depth), depth + 1],
+            "meet": depth, "a_mark": 2, "b_mark": 1}]}
+
+
+def _limit_memory():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+class TestSizeGuards:
+    def test_huge_multiplicity_refused(self, tmp_path, fig_file):
+        # Run in a child under a 1 GiB address-space limit: building one
+        # path per unit of multiplicity would need gigabytes.
+        ms = tmp_path / "ms.json"
+        ms.write_text(json.dumps({"a": {"4": 10 ** 7}, "b": {"5": 1}}))
+        script = ("import sys, time\n"
+                  "from scaledlines.cli import run\n"
+                  "t0 = time.perf_counter()\n"
+                  "code = run(sys.argv[1:])\n"
+                  "print(f'elapsed {time.perf_counter() - t0}', file=sys.stderr)\n"
+                  "sys.exit(code)\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "tree", "weights", "--tree", fig_file,
+             "--multisets", str(ms)],
+            capture_output=True, text=True, timeout=300, preexec_fn=_limit_memory)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        message, timing = proc.stderr.strip().split("\n")
+        assert "total multiplicity 10000001" in message
+        assert float(timing.split()[1]) < 1.0
+
 
 # Arbitrary JSON documents, and documents with each loader's top-level keys
 # holding arbitrary JSON, so that the fuzzing reaches past the first check.
@@ -451,6 +513,91 @@ class TestLoaderFuzz:
     @example(doc={"n": 2 ** 62, "typeII": {"1|2": 1}}, verb="decide")
     def test_global_divisor_loader(self, capsys, tmp_path, doc, verb):
         self._run(capsys, tmp_path, doc, "global", verb, "--n", "4", "--divisor", "{doc}")
+
+
+# Documents for the emitter: int rows (with bools and None mixed in), big
+# and negative ints, text that needs escapes or is not ASCII, and dicts
+# keyed by ints (10 and above sort differently once they are strings) or
+# by strings, nested as lists, tuples and dicts, empty ones included.
+EMIT_TEXT = st.text(max_size=6) | st.sampled_from(
+    ["", '"', "\\", "\n\t", "\x00\x1f\x7f", "é", "日本", "\U0001f600", "\ud800"])
+EMIT_SCALARS = (st.none() | st.booleans() | st.integers(-3, 3)
+                | st.integers(-2 ** 80, 2 ** 80) | st.floats() | EMIT_TEXT)
+EMIT_ROWS = st.lists(st.integers(-2, 12) | st.integers(-2 ** 70, 2 ** 70), max_size=6)
+EMIT_MIXED_ROWS = st.lists(st.integers(-2, 12) | st.booleans() | st.none(), max_size=6)
+EMIT_DOCS = st.recursive(
+    EMIT_SCALARS | EMIT_ROWS | EMIT_ROWS.map(tuple) | EMIT_MIXED_ROWS,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.integers(-5, 120), inner, max_size=5)
+    | st.dictionaries(EMIT_TEXT, inner, max_size=5),
+    max_leaves=20)
+
+
+def emitted(doc) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit_json(doc)
+    return out.getvalue()
+
+
+class TestEmitter:
+    """The streaming emitter prints exactly what the stdlib encoder would."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=EMIT_DOCS)
+    @example(doc={10: [True, None, 1], 2: {}, -1: ()})
+    def test_matches_stdlib_encoder(self, doc):
+        assert emitted(doc) == helpers.reference_json(doc)
+
+    def test_rows_are_streamed(self):
+        doc = {"rows": tuple((k,) * 2000 for k in range(200))}
+        chunks = []
+
+        class Sink:
+            write = staticmethod(chunks.append)
+
+        with contextlib.redirect_stdout(Sink()):
+            cli._emit_json(doc)
+        assert "".join(chunks) == helpers.reference_json(doc)
+        assert len(chunks) > 10
+        assert max(map(len, chunks)) < len("".join(chunks)) // 10
+
+    # sha256 of each command's stdout as printed through json.dumps.
+    PINNED = {
+        ("global", "pushpull", "--n", "6"):
+            "30591c6d6e5c27a6c3145ce9315c00fd78989c533cb12dd2f0dfc0053c3c8ec9",
+        ("global", "relations", "--n", "6"):
+            "b18e607fd023e1e597a670342179c47d5eaa7d93145610d543c61654170e2a80",
+        ("strata", "--n", "5"):
+            "f9533f796803d28787311134e8026d215da8fc841b9d27e3d565764af5a56ac2",
+        ("strata", "--n", "4", "--s", "2"):
+            "365419df4c065d2a2fe0451e7b81d690861d10239ad0d68779ea38cf50833cdf",
+        ("global", "pushpull", "--n", "6", "--format", "csv"):
+            "3581e645c9efd2377124431511cc6b7376ce753ebdf37cbd902c76317b2209a2",
+        ("global", "relations", "--n", "6", "--format", "csv"):
+            "cf21d8a07055e36ef8ff368f042ed633808816ed6dce37782c1ae7b33260a2bc",
+        ("strata", "--n", "5", "--format", "csv"):
+            "f6dde9bd7c322addb496a65d9652d2405f064fd7bb13a0c7bc1200641dcc2de9",
+    }
+
+    @pytest.mark.parametrize("argv", sorted(PINNED), ids=" ".join)
+    def test_pinned_digest(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[argv]
+
+    def test_pinned_digest_tree_weights(self, capsys, tmp_path, fig_file):
+        code, out, err = invoke(capsys, "tree", "weights", "--tree", fig_file)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "80c97a4b9080174cd9fdca22c44b68739217d7b5bb4d0a72dd923c7bdcfe6654")
+        ms = tmp_path / "ms.json"
+        ms.write_text(json.dumps({"a": {"4": 2, "6": 1}, "b": {"5": 2, "7": 1}}))
+        code, out, err = invoke(capsys, "tree", "weights", "--tree", fig_file,
+                                "--multisets", str(ms))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "383f89097ef59cb5df3b225541c7985f9d37bef9f5b4753439474aa1ee784a65")
 
 
 class TestDeterminism:

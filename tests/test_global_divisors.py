@@ -6,6 +6,7 @@ import pytest
 
 import helpers
 from scaledlines.global_divisors import (DivisorVector, NotCartierError,
+                                         _image_solver,
                                          cartier_witness, enumerate_strata,
                                          enumerate_strata_multi,
                                          image_lattice_basis, is_cartier_global,
@@ -226,6 +227,31 @@ class TestCartierDecision:
         assert witness[Subset.of([2])] == 0
         assert witness[Subset.of([3])] == 0
         assert witness[Subset.of([1])] == divisor.typeII_coeff(singletons(4))
+
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_closed_form_decision_matches_hnf(self, n):
+        # Image vectors, image vectors moved off the lattice at one
+        # partition, and sparse vectors, against the HNF image solver.
+        pp = pushpull_matrix(n)
+        solver = _image_solver(n)
+        rng = random.Random(100 + n)
+        vectors = []
+        for _ in range(40):
+            image = pp.pull_push({s: rng.randint(-3, 3) for s in pp.subsets})
+            vectors.append(image)
+            moved = dict(image)
+            moved[rng.choice(pp.partitions)] += rng.choice([-1, 1])
+            vectors.append(moved)
+            vectors.append({p: rng.randint(-3, 3)
+                            for p in rng.sample(pp.partitions, min(3, len(pp.partitions)))})
+        decisions = set()
+        for coeffs in vectors:
+            divisor = DivisorVector.of(n, {}, coeffs)
+            cartier = is_cartier_global(n, divisor)
+            assert cartier == (solver.solve(divisor.typeII_vector()) is not None)
+            decisions.add(cartier)
+        assert decisions == ({True} if n < 4 else {True, False})
 
 
 class TestPullbacks:

@@ -5,9 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 from scaledlines.trees import enumerate_trees
-from scaledlines.weights import (label_weights, pairing_certificate,
-                                 subtree_weights, total_weight,
-                                 verify_certificate, weight_sum_equal)
+from scaledlines.weights import (MAX_TOTAL_MULTIPLICITY, label_weights,
+                                 pairing_certificate, subtree_weights,
+                                 total_weight, verify_certificate,
+                                 weight_sum_equal)
 
 # Frozen worked example on the reference tree: the two multisets below have
 # equal weight sums and decompose into exactly four path pairs.
@@ -70,6 +71,16 @@ class TestWeightSumEqual:
             weight_sum_equal(fig, {1: 0}, {2: 1})
         with pytest.raises(ValueError):
             weight_sum_equal(fig, {1: -2}, {2: 1})
+
+    def test_total_multiplicity_bound(self, fig):
+        # The bound counts both sides; one unit more is refused before any
+        # path is built.
+        half = MAX_TOTAL_MULTIPLICITY // 2
+        assert weight_sum_equal(fig, {4: half}, {5: MAX_TOTAL_MULTIPLICITY - half})
+        with pytest.raises(ValueError, match="total multiplicity"):
+            weight_sum_equal(fig, {4: half}, {5: MAX_TOTAL_MULTIPLICITY - half + 1})
+        with pytest.raises(ValueError, match="total multiplicity"):
+            pairing_certificate(fig, {4: 10 ** 12}, {5: 1})
 
 
 class TestPairingCertificate:
