@@ -58,16 +58,13 @@ def generators(t: ColoredTree) -> tuple[RayVector, ...]:
 def ray_count(t: ColoredTree) -> int:
     """Number of cone generators, computed by the branch product formula."""
     t.require_reduced()
-
-    def rec(v: int) -> int:
-        if t.is_colored(v):
-            return 0
-        out = 1
+    count: dict[int, int] = {}
+    for v in t._postorder(t.children.__getitem__):
+        out = 0 if t.is_colored(v) else 1
         for c in t.children[v]:
-            out *= rec(c) + 1
-        return out
-
-    return rec(t.root)
+            out *= count.pop(c) + 1
+        count[v] = out
+    return count[t.root]
 
 
 def _nonnegative_combination(target: Sequence[int], rays: Sequence[Sequence[int]]) -> bool:

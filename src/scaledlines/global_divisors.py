@@ -55,6 +55,25 @@ def enumerate_strata(n: int) -> Strata:
     return Strata(tuple(sorted(type_one)), _partitions(n))
 
 
+#: Refuse s-scale listings with more type II strata than this.  The
+#: largest allowed, n = 4 with s = 14 (229362 strata), takes about 3.7 s
+#: and 120 MiB as ``strata`` JSON, less than ``global relations --n 8``.
+MAX_MULTI_STRATA = 250_000
+
+
+def _bell(n: int, cap: int) -> int:
+    """The Bell number B_n; stops early at the first Bell number above ``cap``."""
+    row = [1]                  # row k of the Bell triangle starts with B_k
+    for _ in range(n):
+        if row[0] > cap:
+            break
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
+
+
 @dataclass(frozen=True)
 class MultiStrata:
     typeI: tuple[Subset, ...]
@@ -70,6 +89,12 @@ def enumerate_strata_multi(n: int, s: int) -> MultiStrata:
     _check_n(n)
     if not isinstance(s, int) or isinstance(s, bool) or s < 1:
         raise ValueError("need an integer number of scales s >= 1")
+    # There are (B_n - 1)(2^s - 1) type II strata, B_n the Bell number.
+    # Both factors are at least 1, so a large s is refused before 2^s is built.
+    if s > MAX_MULTI_STRATA.bit_length() or (
+            (_bell(n, MAX_MULTI_STRATA + 1) - 1) * (2 ** s - 1) > MAX_MULTI_STRATA):
+        raise ValueError(f"n={n} with s={s} scales has more than {MAX_MULTI_STRATA} "
+                         "type II strata")
     universe = list(range(1, s + 1))
     scale_sets = sorted(
         tuple(c)
@@ -222,12 +247,6 @@ def relations_basis(n: int) -> IntMatrix:
 def pushpull_rank(n: int) -> int:
     """Rank of the push-pull map; always 2^n - n - 1."""
     return rank(pushpull_matrix(n).matrix)
-
-
-@lru_cache(maxsize=16)
-def _image_solver(n: int) -> HnfSolver:
-    # Solve (matrix transposed) @ k = x, i.e. membership in the image lattice.
-    return HnfSolver(pushpull_matrix(n).matrix, transposed=True)
 
 
 @lru_cache(maxsize=16)
@@ -399,28 +418,23 @@ def local_global_crosscheck(n: int) -> CrosscheckReport:
                 embedded[target] += coeff
             relation_rows.append(embedded)
 
+    # Both bases are canonical HNF, so the lattices are equal exactly when
+    # the matrices are.
     if relation_rows:
         local_lattice = kernel_basis(
             IntMatrix._of(tuple(map(tuple, relation_rows)), len(partitions)))
     else:
         local_lattice = IntMatrix.identity(len(partitions))
     image = image_lattice_basis(n)
-    local_canonical = row_lattice_hnf(local_lattice)
-    equal = local_canonical == image
+    equal = local_lattice == image
 
     separating = None
     if not equal:
-        image_solver = _image_solver(n)
-        for row in local_canonical:
-            if image_solver.solve(row) is None:
-                separating = row
+        for basis, other in ((local_lattice, image), (image, local_lattice)):
+            solver = HnfSolver(other, transposed=True)
+            separating = next((row for row in basis if solver.solve(row) is None), None)
+            if separating is not None:
                 break
-        if separating is None:
-            local_solver = HnfSolver(local_canonical, transposed=True)
-            for row in image:
-                if local_solver.solve(row) is None:
-                    separating = row
-                    break
 
     return CrosscheckReport(
         n=n,
@@ -428,7 +442,7 @@ def local_global_crosscheck(n: int) -> CrosscheckReport:
         relation_rows=len(relation_rows),
         rank_expected=2 ** n - n - 1,
         rank_image=image.rows,
-        rank_local=local_canonical.rows,
+        rank_local=local_lattice.rows,
         lattices_equal=equal,
         separating_vector=separating,
     )

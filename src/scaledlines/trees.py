@@ -558,16 +558,6 @@ def is_reduced(t: ColoredTree) -> bool:
     return all(not t.children[v.id] for v in t.vertices if v.colored)
 
 
-def canonical_indices(t: ColoredTree) -> dict[int, int]:
-    """Post-order numbering 1..g of the uncolored vertices.
-
-    Children are visited in order of smallest colored label below, so the
-    principal vertex always receives index g.  These indices are the
-    coordinates used by the weight and cone modules.
-    """
-    return dict(t.index)
-
-
 def _canonicalize(t: ColoredTree) -> ColoredTree:
     """Renumber a reduced tree into canonical form."""
     mapping = dict(t.index)
@@ -644,12 +634,6 @@ def _shape_key(shape):
     return (1, tuple(_shape_key(c) for c in shape))
 
 
-def _shape_uncolored(shape) -> int:
-    if isinstance(shape, int):
-        return 0
-    return 1 + sum(_shape_uncolored(c) for c in shape)
-
-
 def _shapes_over(labels: tuple[int, ...]) -> Iterator[tuple]:
     """All stable tree shapes over a label set of size >= 2.
 
@@ -690,7 +674,7 @@ def _shape_to_tree(shape) -> ColoredTree:
 
 
 @lru_cache(maxsize=16)
-def enumerate_trees(n: int, max_uncolored: Optional[int] = None) -> tuple[ColoredTree, ...]:
+def enumerate_trees(n: int) -> tuple[ColoredTree, ...]:
     """All reduced colored trees on labels 1..n, canonically ordered.
 
     Only trees whose uncolored vertices all have at least two children are
@@ -699,8 +683,6 @@ def enumerate_trees(n: int, max_uncolored: Optional[int] = None) -> tuple[Colore
     if n < 2:
         raise ValueError("need at least two labels")
     shapes = sorted(_shapes_over(tuple(range(1, n + 1))), key=_shape_key)
-    if max_uncolored is not None:
-        shapes = [s for s in shapes if _shape_uncolored(s) <= max_uncolored]
     return tuple(_shape_to_tree(s) for s in shapes)
 
 

@@ -2,10 +2,13 @@
 
 Everything here is deliberately written by a different route than the
 package code it checks: counts come from integer-partition multinomials,
-determinants and ranks from fraction Gaussian elimination, and JSON
-documents from the stdlib encoder.  The one exception is the dense
-Hermite elimination, which follows the package's sparse one step for step
-over dense rows, so that the two must agree bit for bit.
+determinants, ranks and lattice membership from fraction Gaussian
+elimination, JSON documents from the stdlib encoder, pairing
+certificates from a recursion over restricted multisets, and the Cartier
+decision from an HNF solver instead of the closed-form reconstruction.
+The one exception is the dense Hermite elimination, which follows the
+package's sparse one step for step over dense rows, so that the two must
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +20,10 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from scaledlines.trees import ColoredTree, Vertex
+from scaledlines.global_divisors import pushpull_matrix
+from scaledlines.intlinalg import HnfSolver
+from scaledlines.trees import ColoredTree, Vertex, reduce_tree
+from scaledlines.weights import CertificatePair, PairingCertificate
 
 
 def fig_tree() -> ColoredTree:
@@ -56,6 +62,19 @@ def deep_tree() -> ColoredTree:
         [(4, 2), (2, 1), (1, 5), (1, 6), (2, 7), (4, 3), (3, 8), (3, 9), (4, 10)],
         root=4,
     )
+
+
+def chain_tree(depth: int) -> ColoredTree:
+    """A chain of ``depth`` uncolored vertices, marking 1 at its bottom and 2 at its top.
+
+    Canonical ids: uncolored 1..depth from the bottom up (the root is
+    ``depth``), so edge k (1 <= k < depth) sits above uncolored vertex k;
+    the edges to markings 1 and 2 are depth + 1 and depth + 2.
+    """
+    vertices = [Vertex(i, False) for i in range(depth)]
+    vertices += [Vertex(depth, True, 1), Vertex(depth + 1, True, 2)]
+    edges = [(i, i + 1) for i in range(depth)] + [(0, depth + 1)]
+    return reduce_tree(ColoredTree.build(vertices, edges, root=0))
 
 
 def relabeled(t: ColoredTree, rng) -> ColoredTree:
@@ -146,6 +165,42 @@ def fraction_det(rows) -> Fraction:
     return det
 
 
+def in_row_lattice(basis, v) -> bool:
+    """Whether ``v`` is an integer combination of the independent rows ``basis``.
+
+    Solves for the coefficients over Fractions; ``v`` is in the lattice
+    exactly when a solution exists and is integral.
+    """
+    basis = [list(row) for row in basis]
+    m = len(basis)
+    # One equation per coordinate: sum_i x_i * basis[i][j] = v[j].
+    work = [[Fraction(row[j]) for row in basis] + [Fraction(x)] for j, x in enumerate(v)]
+    rank = 0
+    for col in range(m):
+        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        inv = 1 / work[rank][col]
+        work[rank] = [x * inv for x in work[rank]]
+        for i in range(len(work)):
+            if i != rank and work[i][col]:
+                f = work[i][col]
+                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
+        rank += 1
+    if rank != m:
+        raise ValueError("basis rows are dependent")
+    if any(row[m] for row in work[rank:]):
+        return False
+    return all(work[k][m].denominator == 1 for k in range(m))
+
+
+@lru_cache(maxsize=None)
+def image_solver(n: int) -> HnfSolver:
+    """Solver for (push-pull matrix transposed) @ k = x: membership in the image lattice."""
+    return HnfSolver(pushpull_matrix(n).matrix, transposed=True)
+
+
 def disjoint_multiset_pairs(edges, max_total: int):
     """All pairs of disjoint-support nonempty multisets with bounded total size."""
     edges = list(edges)
@@ -161,6 +216,53 @@ def _multisets(edges, total: int):
     """All multisets over ``edges`` with exactly ``total`` elements."""
     for combo in itertools.combinations_with_replacement(edges, total):
         yield dict(Counter(combo))
+
+
+def reference_pairing_certificate(t: ColoredTree, a, b):
+    """The pairing certificate by the original recursion over restricted multisets.
+
+    Each call decomposes the multisets restricted to one subtree, carrying
+    every path as an explicit edge set; recursive, so for small trees only.
+    """
+    def rec(v, left, right, k):
+        # k paths from v down, with edges from ``left``, are owed upwards.
+        if t.is_colored(v):
+            if left or right:
+                return None
+            return [(frozenset(), t.label_of(v))] * k, []
+        left_paths, right_paths, pairs = [], [], []
+        balance = 0
+        for c in t.children[v]:
+            below = t.edges_below(c)
+            need = left.get(c, 0) - right.get(c, 0)
+            balance += need
+            sub_left = {e: left[e] for e in below if e in left}
+            sub_right = {e: right[e] for e in below if e in right}
+            if need >= 0:
+                res = rec(c, sub_left, sub_right, need)
+                if res is None:
+                    return None
+                left_paths.extend((edges | {c}, mark) for edges, mark in res[0])
+                pairs.extend(res[1])
+            else:
+                res = rec(c, sub_right, sub_left, -need)
+                if res is None:
+                    return None
+                right_paths.extend((edges | {c}, mark) for edges, mark in res[0])
+                pairs.extend((r, l, m) for l, r, m in res[1])
+        if balance != k:
+            return None
+        left_paths.sort(key=lambda p: (p[1], sorted(p[0])))
+        right_paths.sort(key=lambda p: (p[1], sorted(p[0])))
+        pairs.extend((l, r, v) for l, r in zip(left_paths[k:], right_paths))
+        return left_paths[:k], pairs
+
+    result = rec(t.root, dict(a), dict(b), 0)
+    if result is None:
+        return None
+    return PairingCertificate(tuple(
+        CertificatePair(tuple(sorted(l[0])), tuple(sorted(r[0])), meet, l[1], r[1])
+        for l, r, meet in result[1]))
 
 
 def dense_hnf_inplace(rows, track):

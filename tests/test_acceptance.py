@@ -13,7 +13,6 @@ from contextlib import contextmanager
 import helpers
 from scaledlines.cones import generators, pair, ray_count
 from scaledlines.global_divisors import (DivisorVector, NotCartierError,
-                                         _image_solver,
                                          cartier_witness, enumerate_strata,
                                          enumerate_strata_multi,
                                          image_lattice_basis, is_cartier_global,
@@ -221,7 +220,7 @@ def test_criterion_10_simple_partitions():
 
 def hnf_cartier(n, divisor):
     """The image-lattice decision by HNF, a route independent of the witness."""
-    return _image_solver(n).solve(divisor.typeII_vector()) is not None
+    return helpers.image_solver(n).solve(divisor.typeII_vector()) is not None
 
 
 def test_criterion_11_pullbacks_are_cartier():

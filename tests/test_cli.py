@@ -12,8 +12,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import helpers
-from scaledlines import cli
+from scaledlines import cli, global_divisors
 from scaledlines.cli import run
+from scaledlines.intlinalg import IntMatrix
 from scaledlines.trees import proper_subsets
 
 FIG_DOC = helpers.fig_tree().to_json_dict()
@@ -129,6 +130,26 @@ class TestGlobalCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["ok"] and doc["trees_checked"] == 4
+
+    @pytest.mark.parametrize("wrong", ["sublattice", "superlattice"])
+    def test_crosscheck_mismatch(self, capsys, monkeypatch, wrong):
+        # A wrong image lattice is caught: exit 3, ok false, and a separating
+        # vector in the local lattice (the true image) and not the wrong one,
+        # or the other way round.
+        real = global_divisors.image_lattice_basis(4)
+        if wrong == "sublattice":
+            rows = [[2 * x for x in real[0]], *real[1:]]
+        else:
+            rows = [[int(i == j) for j in range(real.cols)] for i in range(real.cols)]
+        monkeypatch.setattr(global_divisors, "image_lattice_basis",
+                            lambda n: IntMatrix(rows, cols=real.cols))
+        code, out, err = invoke(capsys, "global", "crosscheck", "--n", "4")
+        doc = json.loads(out)
+        assert (code, err) == (3, "")
+        assert not doc["ok"] and not doc["lattices_equal"]
+        v = doc["separating_vector"]
+        in_local, in_wrong = helpers.in_row_lattice(real, v), helpers.in_row_lattice(rows, v)
+        assert (in_local, in_wrong) == ((True, False) if wrong == "sublattice" else (False, True))
 
     def test_crosscheck_bound(self, capsys):
         code, _, err = invoke(capsys, "global", "crosscheck", "--n", "6")
@@ -414,26 +435,41 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+# Runs the CLI on its arguments and prints the elapsed seconds to stderr.
+TIMED_RUN = ("import sys, time\n"
+             "from scaledlines.cli import run\n"
+             "t0 = time.perf_counter()\n"
+             "code = run(sys.argv[1:])\n"
+             "print(f'elapsed {time.perf_counter() - t0}', file=sys.stderr)\n"
+             "sys.exit(code)\n")
+
+
 class TestSizeGuards:
     def test_huge_multiplicity_refused(self, tmp_path, fig_file):
         # Run in a child under a 1 GiB address-space limit: building one
         # path per unit of multiplicity would need gigabytes.
         ms = tmp_path / "ms.json"
         ms.write_text(json.dumps({"a": {"4": 10 ** 7}, "b": {"5": 1}}))
-        script = ("import sys, time\n"
-                  "from scaledlines.cli import run\n"
-                  "t0 = time.perf_counter()\n"
-                  "code = run(sys.argv[1:])\n"
-                  "print(f'elapsed {time.perf_counter() - t0}', file=sys.stderr)\n"
-                  "sys.exit(code)\n")
         proc = subprocess.run(
-            [sys.executable, "-c", script, "tree", "weights", "--tree", fig_file,
+            [sys.executable, "-c", TIMED_RUN, "tree", "weights", "--tree", fig_file,
              "--multisets", str(ms)],
             capture_output=True, text=True, timeout=300, preexec_fn=_limit_memory)
         assert proc.returncode == 2 and proc.stdout == ""
         assert "Traceback" not in proc.stderr
         message, timing = proc.stderr.strip().split("\n")
         assert "total multiplicity 10000001" in message
+        assert float(timing.split()[1]) < 1.0
+
+    def test_huge_scale_count_refused(self):
+        # 2^30 - 1 type II strata would need hundreds of GiB; the child runs
+        # under a 1 GiB address-space limit.
+        proc = subprocess.run(
+            [sys.executable, "-c", TIMED_RUN, "strata", "--n", "2", "--s", "30"],
+            capture_output=True, text=True, timeout=300, preexec_fn=_limit_memory)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        message, timing = proc.stderr.strip().split("\n")
+        assert "more than 250000 type II strata" in message
         assert float(timing.split()[1]) < 1.0
 
 

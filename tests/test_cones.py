@@ -34,6 +34,12 @@ class TestGenerators:
                 assert len(gens) == ray_count(t)
                 assert len(set(gens)) == len(gens)
 
+    def test_count_on_long_chain(self):
+        # Deeper than the default recursion limit, and far above the
+        # generator bound: one ray per uncolored vertex.
+        t = helpers.chain_tree(1200)
+        assert ray_count(t) == len(t.mcs) == 1200
+
     def test_generators_equal_subset_rays(self):
         # Independent route: one primitive ray per minimally complete subset.
         for n in (2, 3, 4):

@@ -6,7 +6,6 @@ import pytest
 
 import helpers
 from scaledlines.global_divisors import (DivisorVector, NotCartierError,
-                                         _image_solver,
                                          cartier_witness, enumerate_strata,
                                          enumerate_strata_multi,
                                          image_lattice_basis, is_cartier_global,
@@ -234,7 +233,7 @@ class TestCartierDecision:
         # Image vectors, image vectors moved off the lattice at one
         # partition, and sparse vectors, against the HNF image solver.
         pp = pushpull_matrix(n)
-        solver = _image_solver(n)
+        solver = helpers.image_solver(n)
         rng = random.Random(100 + n)
         vectors = []
         for _ in range(40):

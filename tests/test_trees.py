@@ -9,8 +9,8 @@ import pytest
 import helpers
 from scaledlines import cones, local_divisors, trees, weights
 from scaledlines.trees import (ColoredTree, Partition, Subset, Vertex,
-                               canonical_indices, enumerate_trees, is_compatible,
-                               is_reduced, model_homomorphism, partitions_of,
+                               enumerate_trees, is_compatible, is_reduced,
+                               model_homomorphism, partitions_of,
                                proper_subsets, reduce_tree, set_partitions,
                                tree_for_partition, validate_tree)
 
@@ -209,11 +209,11 @@ class TestReduction:
     def test_reference_tree_already_canonical(self, fig):
         assert is_reduced(fig)
         assert reduce_tree(fig) == fig
-        assert canonical_indices(fig) == {1: 1, 2: 2, 3: 3}
+        assert fig.index == {1: 1, 2: 2, 3: 3}
 
     def test_deep_tree_already_canonical(self, deep):
         assert reduce_tree(deep) == deep
-        assert canonical_indices(deep) == {1: 1, 2: 2, 3: 3, 4: 4}
+        assert deep.index == {1: 1, 2: 2, 3: 3, 4: 4}
 
     def test_subtree_below_colored_is_dropped(self):
         t = ColoredTree.build(
@@ -276,10 +276,6 @@ class TestEnumeration:
             assert t.labels == (1, 2, 3, 4)
             assert reduce_tree(t) == t
         assert len(set(enumerate_trees(4))) == 26
-
-    def test_uncolored_bound_filter(self):
-        only_star = enumerate_trees(4, max_uncolored=1)
-        assert only_star == (helpers.star_tree(4),)
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):

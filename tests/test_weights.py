@@ -5,10 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 from scaledlines.trees import enumerate_trees
-from scaledlines.weights import (MAX_TOTAL_MULTIPLICITY, label_weights,
-                                 pairing_certificate, subtree_weights,
-                                 total_weight, verify_certificate,
-                                 weight_sum_equal)
+from scaledlines.weights import (MAX_TOTAL_MULTIPLICITY, CertificatePair, label_weights,
+                                 pairing_certificate, total_weight,
+                                 verify_certificate, weight_sum_equal)
 
 # Frozen worked example on the reference tree: the two multisets below have
 # equal weight sums and decompose into exactly four path pairs.
@@ -25,7 +24,7 @@ class TestLabelWeights:
             6: (0, 1, 0), 7: (0, 1, 0),
         }
         assert total_weight(fig) == (1, 1, 1)
-        assert subtree_weights(fig) == {1: (1, 0, 0), 2: (0, 1, 0), 3: (1, 1, 1)}
+        assert fig.totals == {1: (1, 0, 0), 2: (0, 1, 0), 3: (1, 1, 1)}
 
     def test_deep_tree_exact(self, deep):
         assert label_weights(deep) == {
@@ -114,6 +113,38 @@ class TestPairingCertificate:
         assert verify_certificate(fig, {1: 1, 4: 1}, {2: 1, 6: 1}, cert)
         assert not verify_certificate(fig, {1: 1, 5: 1}, {2: 1, 6: 1}, cert)
         assert not verify_certificate(fig, EXAMPLE_A, EXAMPLE_B, cert)
+
+    def test_matches_reference_recursion(self):
+        # Every tree with n <= 4 and every disjoint pair of total size <= 4:
+        # the same certificates, pair for pair, as the recursion over
+        # restricted multisets.
+        cases = 0
+        for n in (2, 3, 4):
+            for t in enumerate_trees(n):
+                for a, b in helpers.disjoint_multiset_pairs(t.edge_keys, 4):
+                    assert (pairing_certificate(t, a, b)
+                            == helpers.reference_pairing_certificate(t, a, b))
+                    cases += 1
+        assert cases == 18150
+
+    @pytest.mark.parametrize("units", [1, 10])
+    def test_deep_chain(self, units):
+        # The two paths from the root, down the chain to marking 1 and
+        # straight to marking 2, each taken ``units`` times; then the chain
+        # path one edge short, which has no certificate.
+        for depth in (600, 2400):
+            t = helpers.chain_tree(depth)
+            a = {depth + 2: units}
+            b = {**{k: units for k in range(1, depth)}, depth + 1: units}
+            cert = pairing_certificate(t, a, b)
+            expected = CertificatePair((depth + 2,), (*range(1, depth), depth + 1),
+                                       depth, 2, 1)
+            assert cert is not None and cert.pairs == (expected,) * units
+            assert verify_certificate(t, a, b, cert)
+            if depth <= 600:            # the reference recurses once per level
+                assert cert == helpers.reference_pairing_certificate(t, a, b)
+            short = {e: m for e, m in b.items() if e != 1}
+            assert pairing_certificate(t, a, short) is None
 
     def test_exhaustive_small_trees(self):
         # Certificate existence must coincide with equality of weight sums,
