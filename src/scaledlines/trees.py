@@ -296,11 +296,17 @@ class ColoredTree:
             v = self.parent[v]
         return tuple(out)
 
-    def colored_id(self, label: int) -> int:
+    @cached_property
+    def _colored_ids(self) -> dict[int, int]:
+        out: dict[int, int] = {}
         for v in self.vertices:
-            if v.colored and v.label == label:
-                return v.id
-        raise KeyError(label)
+            if v.colored:
+                out.setdefault(v.label, v.id)
+        return out
+
+    def colored_id(self, label: int) -> int:
+        """Id of the first colored vertex carrying ``label``; ``KeyError`` if none."""
+        return self._colored_ids[label]
 
     # Derived data, computed at most once per tree object.  Everything from
     # ``units`` on presupposes a valid reduced tree and raises otherwise.
@@ -599,28 +605,6 @@ def reduce_tree(t: ColoredTree) -> ColoredTree:
     return _canonicalize(trimmed)
 
 
-def tree_for_partition(p: Partition) -> ColoredTree:
-    """The model tree of a partition: one principal vertex, one branch per block."""
-    vertices = [Vertex(0, False)]
-    edges: list[tuple[int, int]] = []
-    next_id = 1
-    for block in p.blocks:
-        if len(block) == 1:
-            vertices.append(Vertex(next_id, True, block[0]))
-            edges.append((0, next_id))
-            next_id += 1
-        else:
-            mid = next_id
-            vertices.append(Vertex(mid, False))
-            edges.append((0, mid))
-            next_id += 1
-            for x in block:
-                vertices.append(Vertex(next_id, True, x))
-                edges.append((mid, next_id))
-                next_id += 1
-    return _canonicalize(ColoredTree.build(vertices, edges, 0))
-
-
 # Tree shapes for enumeration: a colored leaf is the bare label, an
 # uncolored vertex is the tuple of child shapes ordered by smallest label.
 
@@ -684,65 +668,3 @@ def enumerate_trees(n: int) -> tuple[ColoredTree, ...]:
         raise ValueError("need at least two labels")
     shapes = sorted(_shapes_over(tuple(range(1, n + 1))), key=_shape_key)
     return tuple(_shape_to_tree(s) for s in shapes)
-
-
-def model_homomorphism(t: ColoredTree, p: Partition) -> Optional[dict[int, int]]:
-    """A root- and label-preserving contraction from ``t`` onto the model tree of ``p``.
-
-    Edges may be collapsed (both endpoints share an image), and each edge
-    that survives must land on its own model edge, one step down from the
-    parent's image.  That makes every model vertex's preimage a connected
-    subtree; a plain graph homomorphism is weaker, since it could merge two
-    sibling subtrees into one model vertex.  Returns a vertex map witness,
-    or None if no contraction exists.
-    """
-    t.require_reduced()
-    if tuple(t.labels) != p.ground_set:
-        raise ValueError("tree labels and partition ground set differ")
-    target = tree_for_partition(p)
-    colored_target = {v.label: v.id for v in target.vertices if v.colored}
-
-    order: list[int] = []
-    stack = [t.root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(t.children[v])
-
-    assignment: dict[int, int] = {}
-    claimed: set[int] = set()       # model vertices already entered by an edge
-
-    def candidates(v: int) -> tuple[int, ...]:
-        if v == t.root:
-            return (target.root,)
-        img = assignment[t.parent[v]]
-        if t.is_colored(v):
-            want = colored_target[t.label_of(v)]
-            return (want,) if target.parent.get(want) == img else ()
-        down = (c for c in target.children[img] if not target.is_colored(c))
-        return (img,) + tuple(down)
-
-    def extend(k: int) -> bool:
-        if k == len(order):
-            return True
-        v = order[k]
-        for img in candidates(v):
-            steps_down = v != t.root and img != assignment[t.parent[v]]
-            if steps_down:
-                if img in claimed:
-                    continue
-                claimed.add(img)
-            assignment[v] = img
-            if extend(k + 1):
-                return True
-            del assignment[v]
-            if steps_down:
-                claimed.discard(img)
-        return False
-
-    return dict(assignment) if extend(0) else None
-
-
-def is_compatible(p: Partition, t: ColoredTree) -> bool:
-    """Whether ``t`` contracts onto the model tree of ``p``."""
-    return model_homomorphism(t, p) is not None

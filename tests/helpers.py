@@ -4,8 +4,11 @@ Everything here is deliberately written by a different route than the
 package code it checks: counts come from integer-partition multinomials,
 determinants, ranks and lattice membership from fraction Gaussian
 elimination, JSON documents from the stdlib encoder, pairing
-certificates from a recursion over restricted multisets, and the Cartier
-decision from an HNF solver instead of the closed-form reconstruction.
+certificates from a recursion over restricted multisets, the Cartier
+decision from an HNF solver instead of the closed-form reconstruction,
+cone generators from the branch-product recursion, their minimality from
+a Fraction simplex, and the partition dictionary from a search for
+contractions onto model trees.
 The one exception is the dense Hermite elimination, which follows the
 package's sparse one step for step over dense rows, so that the two must
 agree bit for bit.
@@ -19,10 +22,11 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from typing import Optional
 
 from scaledlines.global_divisors import pushpull_matrix
 from scaledlines.intlinalg import HnfSolver
-from scaledlines.trees import ColoredTree, Vertex, reduce_tree
+from scaledlines.trees import ColoredTree, Partition, Vertex, reduce_tree
 from scaledlines.weights import CertificatePair, PairingCertificate
 
 
@@ -344,3 +348,176 @@ def dense_kernel_basis(rows, cols):
 def reference_json(doc) -> str:
     """The bytes a JSON-emitting command must print for ``doc``: the stdlib encoder's."""
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def tree_for_partition(p: Partition) -> ColoredTree:
+    """The model tree of a partition: one principal vertex, one branch per block."""
+    vertices = [Vertex(0, False)]
+    edges: list[tuple[int, int]] = []
+    next_id = 1
+    for block in p.blocks:
+        if len(block) == 1:
+            vertices.append(Vertex(next_id, True, block[0]))
+            edges.append((0, next_id))
+            next_id += 1
+        else:
+            mid = next_id
+            vertices.append(Vertex(mid, False))
+            edges.append((0, mid))
+            next_id += 1
+            for x in block:
+                vertices.append(Vertex(next_id, True, x))
+                edges.append((mid, next_id))
+                next_id += 1
+    return reduce_tree(ColoredTree.build(vertices, edges, 0))
+
+
+def model_homomorphism(t: ColoredTree, p: Partition) -> Optional[dict[int, int]]:
+    """A root- and label-preserving contraction from ``t`` onto the model tree of ``p``.
+
+    Edges may be collapsed (both endpoints share an image), and each edge
+    that survives must land on its own model edge, one step down from the
+    parent's image.  That makes every model vertex's preimage a connected
+    subtree; a plain graph homomorphism is weaker, since it could merge two
+    sibling subtrees into one model vertex.  Returns a vertex map witness,
+    or None if no contraction exists.
+    """
+    t.require_reduced()
+    if tuple(t.labels) != p.ground_set:
+        raise ValueError("tree labels and partition ground set differ")
+    target = tree_for_partition(p)
+    colored_target = {v.label: v.id for v in target.vertices if v.colored}
+
+    order: list[int] = []
+    stack = [t.root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(t.children[v])
+
+    assignment: dict[int, int] = {}
+    claimed: set[int] = set()       # model vertices already entered by an edge
+
+    def candidates(v: int) -> tuple[int, ...]:
+        if v == t.root:
+            return (target.root,)
+        img = assignment[t.parent[v]]
+        if t.is_colored(v):
+            want = colored_target[t.label_of(v)]
+            return (want,) if target.parent.get(want) == img else ()
+        down = (c for c in target.children[img] if not target.is_colored(c))
+        return (img,) + tuple(down)
+
+    def extend(k: int) -> bool:
+        if k == len(order):
+            return True
+        v = order[k]
+        for img in candidates(v):
+            steps_down = v != t.root and img != assignment[t.parent[v]]
+            if steps_down:
+                if img in claimed:
+                    continue
+                claimed.add(img)
+            assignment[v] = img
+            if extend(k + 1):
+                return True
+            del assignment[v]
+            if steps_down:
+                claimed.discard(img)
+        return False
+
+    return dict(assignment) if extend(0) else None
+
+
+def is_compatible(p: Partition, t: ColoredTree) -> bool:
+    """Whether ``t`` contracts onto the model tree of ``p``."""
+    return model_homomorphism(t, p) is not None
+
+
+def reference_generators(t: ColoredTree):
+    """Cone generators by the branch-product recursion, sorted.
+
+    Every uncolored vertex starts from its unit vector; each child branch
+    either adds nothing or swaps that unit vector for one generator of the
+    child's cone.  Recursive, so for small trees only.
+    """
+    units = t.units
+
+    def rec(v):
+        if t.is_colored(v):
+            return []
+        base = units[v]
+        combos = [base]
+        for c in t.children[v]:
+            extended = []
+            for w in rec(c):
+                delta = tuple(a - b for a, b in zip(w, base))
+                extended.extend(tuple(x + d for x, d in zip(vec, delta)) for vec in combos)
+            combos = combos + extended
+        return combos
+
+    return tuple(sorted(rec(t.root)))
+
+
+def nonnegative_combination(target, rays) -> bool:
+    """Exact feasibility of target = sum(lambda_i * rays_i) with lambda >= 0.
+
+    Phase-1 simplex over Fractions with Bland's rule; no floating point.
+    """
+    m = len(target)
+    n = len(rays)
+    if n == 0:
+        return all(x == 0 for x in target)
+    # Rows: A lambda + I art = b with b >= 0 after sign normalization.
+    rows = []
+    rhs = []
+    for i in range(m):
+        sign = -1 if target[i] < 0 else 1
+        rows.append([Fraction(sign * rays[j][i]) for j in range(n)])
+        rhs.append(Fraction(sign * target[i]))
+    total = n + m  # structural variables then artificials
+    tableau = []
+    for i in range(m):
+        row = rows[i] + [Fraction(1) if k == i else Fraction(0) for k in range(m)]
+        row.append(rhs[i])
+        tableau.append(row)
+    basis = list(range(n, n + m))
+    # Objective: minimize sum of artificials; cost row = -sum of tableau rows
+    # restricted to artificial columns' reduced costs.
+    cost = [Fraction(0)] * (total + 1)
+    for i in range(m):
+        for k in range(total + 1):
+            cost[k] -= tableau[i][k]
+    for k in range(n, n + m):
+        cost[k] += Fraction(1)
+
+    while True:
+        enter = -1
+        for k in range(total):
+            if cost[k] < 0:
+                enter = k
+                break
+        if enter < 0:
+            break
+        leave, best = -1, None
+        for i in range(m):
+            coef = tableau[i][enter]
+            if coef > 0:
+                ratio = tableau[i][total] / coef
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    leave, best = i, ratio
+        if leave < 0:
+            # Unbounded phase-1 cannot happen; treat defensively as infeasible.
+            return False
+        piv = tableau[leave][enter]
+        tableau[leave] = [x / piv for x in tableau[leave]]
+        for i in range(m):
+            if i != leave and tableau[i][enter]:
+                f = tableau[i][enter]
+                tableau[i] = [x - f * y for x, y in zip(tableau[i], tableau[leave])]
+        if cost[enter]:
+            f = cost[enter]
+            cost = [x - f * y for x, y in zip(cost, tableau[leave])]
+        basis[leave] = enter
+    objective = -cost[total]
+    return objective == 0

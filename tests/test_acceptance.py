@@ -25,8 +25,7 @@ from scaledlines.local_divisors import (is_cartier_local, local_cartier_generato
                                         minimally_complete_subsets,
                                         partition_of_subset, ray_of_subset,
                                         subset_of_partition, vertex_witnesses)
-from scaledlines.trees import (Partition, Subset, enumerate_trees, is_compatible,
-                               partitions_of)
+from scaledlines.trees import Partition, Subset, enumerate_trees, partitions_of
 from scaledlines.weights import (label_weights, pairing_certificate, total_weight,
                                  verify_certificate, weight_sum_equal)
 
@@ -204,7 +203,7 @@ def test_criterion_09_subset_partition_dictionary():
             for t in enumerate_trees(n):
                 from_subsets = {partition_of_subset(t, y)
                                 for y in minimally_complete_subsets(t)}
-                from_maps = {p for p in universe if is_compatible(p, t)}
+                from_maps = {p for p in universe if helpers.is_compatible(p, t)}
                 assert from_subsets == from_maps
 
 

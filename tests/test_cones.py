@@ -3,8 +3,8 @@
 import pytest
 
 import helpers
-from scaledlines.cones import (MAX_UNCOLORED, _nonnegative_combination, generators,
-                               pair, ray_count, verify_duality)
+from scaledlines import cones
+from scaledlines.cones import MAX_UNCOLORED, generators, pair, ray_count, verify_duality
 from scaledlines.local_divisors import minimally_complete_subsets, ray_of_subset
 from scaledlines.trees import ColoredTree, Vertex, enumerate_trees
 from scaledlines.weights import label_weights, total_weight
@@ -41,12 +41,18 @@ class TestGenerators:
         assert ray_count(t) == len(t.mcs) == 1200
 
     def test_generators_equal_subset_rays(self):
-        # Independent route: one primitive ray per minimally complete subset.
+        # One primitive ray per minimally complete subset, sorted.
         for n in (2, 3, 4):
             for t in enumerate_trees(n):
                 rays = sorted(ray_of_subset(t, y)
                               for y in minimally_complete_subsets(t))
                 assert tuple(rays) == generators(t)
+
+    def test_generators_match_reference_recursion(self):
+        # Independent route: the branch-product recursion over the subtrees.
+        for n in (2, 3, 4, 5):
+            for t in enumerate_trees(n):
+                assert generators(t) == helpers.reference_generators(t)
 
     def test_scale_pairing_is_one(self):
         for t in enumerate_trees(4):
@@ -79,18 +85,18 @@ class TestPair:
 
 class TestNonnegativeCombination:
     def test_feasible(self):
-        assert _nonnegative_combination((1, 1), [(1, 0), (0, 1)])
-        assert _nonnegative_combination((3, 2), [(1, 0), (1, 1)])
-        assert _nonnegative_combination((0, 0), [])
+        assert helpers.nonnegative_combination((1, 1), [(1, 0), (0, 1)])
+        assert helpers.nonnegative_combination((3, 2), [(1, 0), (1, 1)])
+        assert helpers.nonnegative_combination((0, 0), [])
 
     def test_infeasible(self):
-        assert not _nonnegative_combination((-1, 0), [(1, 0), (0, 1)])
-        assert not _nonnegative_combination((1, 0), [(0, 1)])
-        assert not _nonnegative_combination((1,), [])
+        assert not helpers.nonnegative_combination((-1, 0), [(1, 0), (0, 1)])
+        assert not helpers.nonnegative_combination((1, 0), [(0, 1)])
+        assert not helpers.nonnegative_combination((1,), [])
 
     def test_needs_fractional_coefficients(self):
         # (1, 1) = 1/2 * (2, 0) + 1/2 * (0, 2): feasibility is rational.
-        assert _nonnegative_combination((1, 1), [(2, 0), (0, 2)])
+        assert helpers.nonnegative_combination((1, 1), [(2, 0), (0, 2)])
 
 
 class TestDuality:
@@ -111,3 +117,34 @@ class TestDuality:
                 report = verify_duality(t)
                 assert report["ok"], (t, report)
                 assert report["span_dimension"] == t.g
+
+    def test_no_generator_is_a_combination_of_the_others(self):
+        # Independent route for minimality: the Fraction simplex.
+        for n in (2, 3, 4, 5):
+            for t in enumerate_trees(n):
+                assert verify_duality(t)["minimal_generators"]
+                gens = generators(t)
+                for v in gens:
+                    assert not helpers.nonnegative_combination(
+                        v, [u for u in gens if u != v]), (t, v)
+
+    @pytest.mark.parametrize("extra", ["sum", "duplicate"])
+    def test_redundant_generator_is_not_minimal(self, monkeypatch, extra):
+        original = cones.generators
+
+        def padded(t):
+            gens = original(t)
+            if extra == "duplicate":
+                return gens + (gens[0],)
+            return gens + (tuple(a + b for a, b in zip(gens[0], gens[1])),)
+
+        monkeypatch.setattr(cones, "generators", padded)
+        checked = 0
+        for t in enumerate_trees(4):
+            if t.g < 2:
+                continue
+            report = verify_duality(t)
+            assert not report["minimal_generators"], (t, report)
+            assert not report["ok"]
+            checked += 1
+        assert checked == 25

@@ -12,7 +12,7 @@ from scaledlines.local_divisors import (CartierDecision, OracleDisagreement,
                                         minimally_complete_subsets,
                                         partition_of_subset, ray_of_subset,
                                         subset_of_partition, vertex_witnesses)
-from scaledlines.trees import Partition, enumerate_trees, is_compatible, partitions_of
+from scaledlines.trees import Partition, enumerate_trees, partitions_of
 
 FIG_SUBSETS = ((1, 2), (1, 6, 7), (2, 4, 5), (4, 5, 6, 7))
 
@@ -104,7 +104,7 @@ class TestPartitionDictionary:
             for t in enumerate_trees(n):
                 from_subsets = {partition_of_subset(t, y)
                                 for y in minimally_complete_subsets(t)}
-                from_maps = {p for p in all_partitions if is_compatible(p, t)}
+                from_maps = {p for p in all_partitions if helpers.is_compatible(p, t)}
                 assert from_subsets == from_maps
 
 

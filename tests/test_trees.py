@@ -9,10 +9,9 @@ import pytest
 import helpers
 from scaledlines import cones, local_divisors, trees, weights
 from scaledlines.trees import (ColoredTree, Partition, Subset, Vertex,
-                               enumerate_trees, is_compatible, is_reduced,
-                               model_homomorphism, partitions_of,
+                               enumerate_trees, is_reduced, partitions_of,
                                proper_subsets, reduce_tree, set_partitions,
-                               tree_for_partition, validate_tree)
+                               validate_tree)
 
 
 class TestSubset:
@@ -255,13 +254,30 @@ class TestReduction:
         # Colored ids are g + label even for sparse label sets.
         assert reduced.colored_id(4) == 5 and reduced.colored_id(9) == 10
 
+    def test_colored_id_matches_a_scan(self, fig, deep):
+        # Reduced trees with scrambled ids, so g + label is not the answer.
+        rng = random.Random(11)
+        for t in [fig, deep, helpers.star_tree(5)] + list(enumerate_trees(4)):
+            raw = helpers.relabeled(t, rng)
+            assert is_reduced(raw) and reduce_tree(raw) != raw
+            for label in raw.labels:
+                scan = next(v.id for v in raw.vertices if v.colored and v.label == label)
+                assert raw.colored_id(label) == scan
+            with pytest.raises(KeyError):
+                raw.colored_id(max(raw.labels) + 1)
+        # A repeated label (an invalid tree) resolves to its first vertex.
+        twice = ColoredTree.build(
+            [Vertex(1, False), Vertex(3, True, 1), Vertex(2, True, 1)],
+            [(1, 3), (1, 2)], 1)
+        assert twice.colored_id(1) == 3
+
 
 def test_tree_for_partition_matches_reference(fig):
-    assert tree_for_partition(Partition.of([(1, 2), (3, 4)])) == fig
+    assert helpers.tree_for_partition(Partition.of([(1, 2), (3, 4)])) == fig
 
 
 def test_tree_for_partition_singletons():
-    t = tree_for_partition(Partition.of([(1,), (2,), (3,)]))
+    t = helpers.tree_for_partition(Partition.of([(1,), (2,), (3,)]))
     assert t == helpers.star_tree(3)
 
 
@@ -289,14 +305,14 @@ class TestCompatibility:
         no = [[(1, 3), (2, 4)], [(1, 2, 3), (4,)], [(1, 4), (2, 3)],
               [(1,), (2, 3, 4)], [(1, 2, 4), (3,)], [(1, 3), (2,), (4,)]]
         for blocks in yes:
-            assert is_compatible(Partition.of(blocks), fig)
+            assert helpers.is_compatible(Partition.of(blocks), fig)
         for blocks in no:
-            assert not is_compatible(Partition.of(blocks), fig)
+            assert not helpers.is_compatible(Partition.of(blocks), fig)
 
     def test_witness_map_is_a_contraction(self, fig):
         p = Partition.of([(1, 2), (3, 4)])
-        target = tree_for_partition(p)
-        mapping = model_homomorphism(fig, p)
+        target = helpers.tree_for_partition(p)
+        mapping = helpers.model_homomorphism(fig, p)
         assert mapping is not None
         assert mapping[fig.root] == target.root
         for label in (1, 2, 3, 4):
@@ -323,15 +339,15 @@ class TestCompatibility:
             root=3,
         )
         merged = Partition.of([(1,), (2, 3, 4, 5)])
-        assert not is_compatible(merged, t)
-        assert model_homomorphism(t, merged) is None
+        assert not helpers.is_compatible(merged, t)
+        assert helpers.model_homomorphism(t, merged) is None
         compatible = sorted(p.key() for p in partitions_of(range(1, 6))
-                            if is_compatible(p, t))
+                            if helpers.is_compatible(p, t))
         assert compatible == ["1|2,3|4,5", "1|2,3|4|5", "1|2|3|4,5", "1|2|3|4|5"]
 
     def test_ground_set_mismatch(self, fig):
         with pytest.raises(ValueError):
-            is_compatible(Partition.of([(1, 2), (3,)]), fig)
+            helpers.is_compatible(Partition.of([(1, 2), (3,)]), fig)
 
     def test_star_matches_only_singletons(self):
         # The one-vertex tree is itself the all-singletons divisor; no other
@@ -339,7 +355,7 @@ class TestCompatibility:
         star = helpers.star_tree(4)
         singletons = Partition.of([(1,), (2,), (3,), (4,)])
         for p in partitions_of([1, 2, 3, 4]):
-            assert is_compatible(p, star) == (p == singletons)
+            assert helpers.is_compatible(p, star) == (p == singletons)
 
 
 class TestSerialization:
